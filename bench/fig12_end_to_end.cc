@@ -19,7 +19,7 @@
 #include "host/nvme/client.hh"
 #include "obs/cli.hh"
 #include "obs/power/power.hh"
-#include "ssd/sharded_ssd.hh"
+#include "ssd/ssd.hh"
 
 using namespace babol;
 using namespace babol::bench;
@@ -90,26 +90,10 @@ runSsd(const std::string &flavor, std::uint32_t ways, bool random_pattern)
     return {engine.bandwidthMBps(), njPerIoDelta(e0, e1, 300)};
 }
 
-/**
- * The same Fig. 12 workload on the channel-sharded multi-core engine:
- * a multi-channel device whose channels run on worker threads behind
- * the conservative-lookahead windows. The returned bandwidth is a pure
- * function of the model — byte-identical at any @p threads — which the
- * CI scaling smoke checks by diffing this mode's output across thread
- * counts.
- */
-/**
- * Fig. 12 through the NVMe-style queued front end: the same sharded
- * device, but the measured random-read workload reaches it via @p
- * qpairs submission/completion queue pairs (DRAM rings, doorbells,
- * interrupt coalescing) instead of direct FTL calls — quantifying what
- * the production queueing path costs relative to the direct-call
- * numbers. Byte-identical at any @p threads.
- */
-RunResult
-runShardedNvme(const std::string &flavor, std::uint32_t channels,
-               std::uint32_t ways, std::uint32_t qpairs,
-               std::uint32_t threads)
+/** The multi-channel device both --qpairs columns measure. */
+ssd::SsdConfig
+deviceConfig(const std::string &flavor, std::uint32_t channels,
+             std::uint32_t ways)
 {
     ssd::SsdConfig cfg;
     cfg.channels = channels;
@@ -119,33 +103,48 @@ runShardedNvme(const std::string &flavor, std::uint32_t channels,
     cfg.channel.rateMT = 200;
     cfg.channel.seed = 5;
     cfg.cpuMhz = 1000;
-    ssd::ShardedSsd dev("ssd", cfg);
+    return cfg;
+}
+
+/**
+ * Fig. 12 through the NVMe-style queued front end: a multi-channel
+ * device whose measured random-read workload reaches it via @p qpairs
+ * submission/completion queue pairs (DRAM rings, doorbells, interrupt
+ * coalescing) instead of direct FTL calls — quantifying what the
+ * production queueing path costs relative to the direct-call numbers.
+ */
+RunResult
+runNvme(const std::string &flavor, std::uint32_t channels,
+        std::uint32_t ways, std::uint32_t qpairs)
+{
+    EventQueue eq;
+    ssd::Ssd dev(eq, "ssd", deviceConfig(flavor, channels, ways));
 
     ftl::FtlConfig fcfg;
     fcfg.blocksPerChip = 4;
     fcfg.overprovision = 0.25;
-    ftl::PageFtl ftl(dev.hostQueue(), "ftl", dev, fcfg);
+    ftl::PageFtl ftl(eq, "ftl", dev, fcfg);
 
     const std::uint64_t extent = 64ull * channels * ways;
 
     host::FioConfig fill_cfg;
     fill_cfg.queueDepth = 2 * channels * ways;
     fill_cfg.dramBase = 0;
-    host::FioEngine filler(dev.hostQueue(), "fill", ftl, fill_cfg);
+    host::FioEngine filler(eq, "fill", ftl, fill_cfg);
     bool filled = false;
     filler.fill(extent, [&] { filled = true; });
-    dev.run(threads);
+    eq.run();
     babol_assert(filled, "fill never completed");
 
     host::HicConfig hcfg;
     hcfg.maxInflight = 64;
-    host::Hic hic(dev.hostQueue(), "hic", ftl, hcfg);
+    host::Hic hic(eq, "hic", ftl, hcfg);
 
     host::nvme::NvmeConfig ncfg;
     ncfg.queuePairs = qpairs;
     ncfg.maxInflight = 64;
     ncfg.dramBase = 1 << 20;
-    host::nvme::NvmeFrontEnd fe(dev.hostQueue(), "nvme", hic, ncfg);
+    host::nvme::NvmeFrontEnd fe(eq, "nvme", hic, ncfg);
 
     // One client striped across every queue pair, matching the direct
     // path's depth-32 random READ workload. LBAs stay inside the
@@ -158,68 +157,59 @@ runShardedNvme(const std::string &flavor, std::uint32_t channels,
     tcfg.sectors = hic.sectorsPerPage(); // page-sized, like FioEngine
     tcfg.dramBase = 8 << 20;
     tcfg.lbaSpan = extent * hic.sectorsPerPage();
-    host::nvme::TenantClient client(dev.hostQueue(), "fig12", fe, reg,
-                                    tcfg);
+    host::nvme::TenantClient client(eq, "fig12", fe, reg, tcfg);
     auto &pm = obs::power::PowerModel::instance();
-    const Tick start = dev.hostQueue().now();
+    const Tick start = eq.now();
     const std::uint64_t e0 = pm.grandTotalFjAt(start);
     bool done = false;
     client.start([&] { done = true; });
-    dev.run(threads);
+    eq.run();
     babol_assert(done && client.errors() == 0, "nvme fio run failed");
-    const Tick elapsed = dev.hostQueue().now() - start;
-    const std::uint64_t e1 = pm.grandTotalFjAt(dev.hostQueue().now());
+    const Tick elapsed = eq.now() - start;
+    const std::uint64_t e1 = pm.grandTotalFjAt(eq.now());
     const std::uint64_t bytes = 300ull * tcfg.sectors * hic.sectorBytes();
     return {bandwidthMBps(bytes, elapsed), njPerIoDelta(e0, e1, 300)};
 }
 
+/** The direct-call random-read column of the --qpairs table. */
 RunResult
-runShardedSsd(const std::string &flavor, std::uint32_t channels,
-              std::uint32_t ways, bool random_pattern,
-              std::uint32_t threads)
+runDirect(const std::string &flavor, std::uint32_t channels,
+          std::uint32_t ways)
 {
-    ssd::SsdConfig cfg;
-    cfg.channels = channels;
-    cfg.flavor = flavor == "hw" ? "hw-async" : flavor;
-    cfg.channel.package = nand::hynixPackage();
-    cfg.channel.chips = ways;
-    cfg.channel.rateMT = 200;
-    cfg.channel.seed = 5;
-    cfg.cpuMhz = 1000;
-    ssd::ShardedSsd dev("ssd", cfg);
+    EventQueue eq;
+    ssd::Ssd dev(eq, "ssd", deviceConfig(flavor, channels, ways));
 
     ftl::FtlConfig fcfg;
     fcfg.blocksPerChip = 4;
     fcfg.overprovision = 0.25;
-    ftl::PageFtl ftl(dev.hostQueue(), "ftl", dev, fcfg);
+    ftl::PageFtl ftl(eq, "ftl", dev, fcfg);
 
     const std::uint64_t extent = 64ull * channels * ways;
 
     host::FioConfig fill_cfg;
     fill_cfg.queueDepth = 2 * channels * ways;
     fill_cfg.dramBase = 0;
-    host::FioEngine filler(dev.hostQueue(), "fill", ftl, fill_cfg);
+    host::FioEngine filler(eq, "fill", ftl, fill_cfg);
     bool filled = false;
     filler.fill(extent, [&] { filled = true; });
-    dev.run(threads);
+    eq.run();
     babol_assert(filled, "fill never completed");
 
     host::FioConfig cfg_io;
-    cfg_io.pattern = random_pattern ? host::FioConfig::Pattern::Random
-                                    : host::FioConfig::Pattern::Sequential;
+    cfg_io.pattern = host::FioConfig::Pattern::Random;
     cfg_io.queueDepth = 32;
     cfg_io.extentPages = extent;
     cfg_io.totalIos = 300;
     cfg_io.dramBase = 8 << 20;
     cfg_io.seed = 99;
-    host::FioEngine engine(dev.hostQueue(), "fio", ftl, cfg_io);
+    host::FioEngine engine(eq, "fio", ftl, cfg_io);
     auto &pm = obs::power::PowerModel::instance();
-    const std::uint64_t e0 = pm.grandTotalFjAt(dev.hostQueue().now());
+    const std::uint64_t e0 = pm.grandTotalFjAt(eq.now());
     bool done = false;
     engine.start([&] { done = true; });
-    dev.run(threads);
+    eq.run();
     babol_assert(done && engine.errors() == 0, "fio run failed");
-    const std::uint64_t e1 = pm.grandTotalFjAt(dev.hostQueue().now());
+    const std::uint64_t e1 = pm.grandTotalFjAt(eq.now());
     return {engine.bandwidthMBps(), njPerIoDelta(e0, e1, 300)};
 }
 
@@ -229,8 +219,7 @@ int
 main(int argc, char **argv)
 {
     bool quick = false, csv = false;
-    std::uint32_t threads = 0; // 0 = classic single-queue engine
-    std::uint32_t qpairs = 0;  // 0 = direct-call host path
+    std::uint32_t qpairs = 0; // 0 = direct-call host path
     obs::cli::Options obs_opts;
     for (int i = 1; i < argc; ++i) {
         if (obs_opts.parse(argc, argv, i))
@@ -239,8 +228,6 @@ main(int argc, char **argv)
             quick = true;
         if (std::string(argv[i]) == "--csv")
             csv = true;
-        if (std::string(argv[i]) == "--threads" && i + 1 < argc)
-            threads = std::strtoul(argv[++i], nullptr, 10);
         if (std::string(argv[i]) == "--qpairs" && i + 1 < argc)
             qpairs = std::strtoul(argv[++i], nullptr, 10);
     }
@@ -252,10 +239,8 @@ main(int argc, char **argv)
     obs::power::PowerModel::instance().enable();
 
     if (qpairs > 0) {
-        // Queued-front-end mode (implies the sharded engine): random
-        // READ through N NVMe-style queue pairs vs the direct path.
-        if (threads == 0)
-            threads = 1;
+        // Queued-front-end mode: random READ through N NVMe-style
+        // queue pairs vs the direct path.
         const std::uint32_t channels = quick ? 2 : 4;
         const std::uint32_t ways = quick ? 2 : 4;
         std::cout << "FIGURE 12 (NVMe front end, " << qpairs
@@ -263,41 +248,12 @@ main(int argc, char **argv)
                   << ways << "-way random READ bandwidth (MB/s)\n\n";
         Table table({"Controller", "direct", "queued", "nJ/IO (queued)"});
         for (std::string flavor : {"hw", "rtos", "coro"}) {
-            RunResult direct =
-                runShardedSsd(flavor, channels, ways, true, threads);
-            RunResult queued =
-                runShardedNvme(flavor, channels, ways, qpairs, threads);
+            RunResult direct = runDirect(flavor, channels, ways);
+            RunResult queued = runNvme(flavor, channels, ways, qpairs);
             table.addRow(
                 {flavor == "hw" ? "Cosmos+ baseline (hw)" : flavor,
                  Table::num(direct.mbps, 1), Table::num(queued.mbps, 1),
                  Table::num(queued.njPerIo, 1)});
-        }
-        if (csv)
-            table.printCsv(std::cout);
-        else
-            table.print(std::cout);
-        return obs_opts.finalize();
-    }
-
-    if (threads > 0) {
-        // Sharded-engine mode: the output depends only on the model, so
-        // runs at different --threads must print identical tables.
-        const std::uint32_t channels = quick ? 2 : 4;
-        const std::uint32_t ways = quick ? 2 : 4;
-        std::cout << "FIGURE 12 (sharded engine): " << channels
-                  << "-channel x " << ways << "-way READ bandwidth "
-                  << "(MB/s)\n\n";
-        Table table({"Controller", "sequential", "random",
-                     "nJ/IO (rand)"});
-        for (std::string flavor : {"hw", "rtos", "coro"}) {
-            RunResult seq =
-                runShardedSsd(flavor, channels, ways, false, threads);
-            RunResult rnd =
-                runShardedSsd(flavor, channels, ways, true, threads);
-            table.addRow(
-                {flavor == "hw" ? "Cosmos+ baseline (hw)" : flavor,
-                 Table::num(seq.mbps, 1), Table::num(rnd.mbps, 1),
-                 Table::num(rnd.njPerIo, 1)});
         }
         if (csv)
             table.printCsv(std::cout);

@@ -32,23 +32,14 @@
  * for the obs build simply because it ran last. All three samples are
  * kept in the JSON so drift stays visible.
  *
- * A final sweep runs the sharded ParallelEngine — 16 single-channel-
- * style shards exchanging cross-shard messages — at 1/2/4/8/16 worker
- * threads and records aggregate events/sec per thread count, the
- * machine's core count, and the windowing stats. On a 16-core machine
- * the curve is expected to reach >= 8x self-relative; on fewer cores
- * the curve saturates at the core count and the JSON says so.
- *
  * Heap traffic is counted by overriding global operator new, so the
- * zero-allocation claim covers everything, not just the pool. The
- * counter is a relaxed atomic: the sharded sweep allocates from several
- * threads at once. Results are written as JSON to
+ * zero-allocation claim covers everything, not just the pool. Results
+ * are written as JSON to
  * BENCH_event_kernel.json at the repo root (or --out PATH) so the perf
  * trajectory is tracked across PRs.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
@@ -67,20 +58,17 @@
 #include "obs/hub.hh"
 #include "obs/power/power.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel.hh"
 
 // ---------------------------------------------------------------------
-// Global allocation counter (relaxed atomic: the sharded sweep runs
-// multi-threaded; single-threaded phases pay the same small tax
-// uniformly, so relative figures are unaffected).
+// Global allocation counter
 // ---------------------------------------------------------------------
 
-static std::atomic<std::uint64_t> g_allocCount{0};
+static std::uint64_t g_allocCount = 0;
 
 void *
 operator new(std::size_t n)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(n))
         return p;
     throw std::bad_alloc();
@@ -308,8 +296,7 @@ runKernel(Queue &eq, std::uint64_t warmup, std::uint64_t measured)
         eq.step();
 
     const std::uint64_t fired0 = driver.fired_;
-    const std::uint64_t allocs0 =
-        g_allocCount.load(std::memory_order_relaxed);
+    const std::uint64_t allocs0 = g_allocCount;
     const auto t0 = std::chrono::steady_clock::now();
     while (driver.fired_ < fired0 + measured)
         eq.step();
@@ -319,10 +306,8 @@ runKernel(Queue &eq, std::uint64_t warmup, std::uint64_t measured)
     p.fired = driver.fired_ - fired0;
     const double sec = std::chrono::duration<double>(t1 - t0).count();
     p.eventsPerSec = sec > 0 ? static_cast<double>(p.fired) / sec : 0;
-    p.allocsPerEvent =
-        static_cast<double>(g_allocCount.load(std::memory_order_relaxed) -
-                            allocs0) /
-        static_cast<double>(p.fired);
+    p.allocsPerEvent = static_cast<double>(g_allocCount - allocs0) /
+                       static_cast<double>(p.fired);
     return p;
 }
 
@@ -335,61 +320,6 @@ medianPhase(const Phase (&runs)[3])
         return a->eventsPerSec < b->eventsPerSec;
     });
     return *p[1];
-}
-
-// ---------------------------------------------------------------------
-// Sharded scaling sweep: the same actor workload on every shard of a
-// ParallelEngine, with a cross-shard message ring so the conservative
-// windows are exercised, bounded by simulated time.
-// ---------------------------------------------------------------------
-
-struct ShardedPoint
-{
-    std::uint32_t threads = 0;
-    double eventsPerSec = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t messages = 0;
-};
-
-ShardedPoint
-runSharded(std::uint32_t shards, std::uint32_t threads, Tick until)
-{
-    const Tick lookahead = 50 * babol::ticks::perNs;
-    babol::sim::ParallelEngine pe(shards, lookahead);
-
-    std::vector<std::unique_ptr<Driver<babol::EventQueue>>> drivers;
-    drivers.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        drivers.push_back(
-            std::make_unique<Driver<babol::EventQueue>>(pe.queue(s)));
-        drivers.back()->start();
-    }
-
-    // A message ring: each shard forwards a token to its neighbour every
-    // 100 us of simulated time, keeping every link and window busy.
-    auto forward = std::make_shared<std::function<void(std::uint32_t)>>();
-    *forward = [&pe, shards, forward](std::uint32_t s) {
-        const std::uint32_t to = (s + 1) % shards;
-        const Tick when =
-            pe.queue(s).now() + 100 * babol::ticks::perUs;
-        pe.post(s, to, when, [forward, to] { (*forward)(to); });
-    };
-    for (std::uint32_t s = 0; s < shards; ++s)
-        (*forward)(s);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t fired = pe.run(threads, until);
-    const auto t1 = std::chrono::steady_clock::now();
-
-    ShardedPoint pt;
-    pt.threads = threads;
-    pt.fired = fired;
-    const double sec = std::chrono::duration<double>(t1 - t0).count();
-    pt.eventsPerSec = sec > 0 ? static_cast<double>(fired) / sec : 0;
-    pt.windows = pe.windowCount();
-    pt.messages = pe.crossShardMessages();
-    return pt;
 }
 
 // ---------------------------------------------------------------------
@@ -438,14 +368,12 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t measured = 2000000;
-    Tick shardedUntil = babol::ticks::fromUs(12000);
     std::string out = std::string(BABOL_SOURCE_DIR) +
                       "/BENCH_event_kernel.json";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--quick") {
             measured = 200000;
-            shardedUntil = babol::ticks::fromUs(1500);
         } else if (arg == "--out" && i + 1 < argc) {
             out = argv[++i];
         } else {
@@ -501,14 +429,7 @@ main(int argc, char **argv)
                                       stats.outlineCallbacks)
             : 0;
 
-    // Sharded scaling curve: 16 shards at 1/2/4/8/16 workers.
     const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    const std::uint32_t kShards = 16;
-    std::vector<ShardedPoint> curve;
-    for (std::uint32_t t : {1u, 2u, 4u, 8u, 16u})
-        curve.push_back(runSharded(kShards, t, shardedUntil));
-    const double base =
-        curve.front().eventsPerSec > 0 ? curve.front().eventsPerSec : 1;
 
     // Energy reference points, AFTER every perf phase: meters latch the
     // model's enabled flag at construction, so enabling here leaves all
@@ -576,23 +497,7 @@ main(int argc, char **argv)
     emit("  \"j_per_io_rtos\": %.6g,\n", jPerIoRtos);
     emit("  \"j_per_io_coro\": %.6g,\n", jPerIoCoro);
 
-    emit("  \"machine_cores\": %u,\n", cores);
-    emit("  \"sharded_shards\": %u,\n", kShards);
-    emit("  \"sharded_scaling\": [\n");
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-        const ShardedPoint &p = curve[i];
-        emit("    {\"threads\": %u, \"events_per_sec\": %.0f, "
-             "\"self_relative\": %.2f, \"windows\": %llu, "
-             "\"cross_shard_msgs\": %llu}%s\n",
-             p.threads, p.eventsPerSec, p.eventsPerSec / base,
-             static_cast<unsigned long long>(p.windows),
-             static_cast<unsigned long long>(p.messages),
-             i + 1 < curve.size() ? "," : "");
-    }
-    emit("  ],\n");
-    emit("  \"sharded_scaling_note\": \"self-relative speedup saturates "
-         "at min(threads, machine_cores, shards); the >=8x acceptance "
-         "target applies on a >=16-core machine\"\n");
+    emit("  \"machine_cores\": %u\n", cores);
     emit("}\n");
 
     std::cout << json;

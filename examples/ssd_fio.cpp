@@ -8,7 +8,7 @@
  *   $ ./examples/ssd_fio [coro|rtos|hw] [--trace-out t.json]
  *                        [--metrics-out m.json] [--audit[=report]]
  *                        [--faults plan.txt]
- *                        [--fleet N] [--streams M] [--threads T]
+ *                        [--fleet N [--streams M] [--threads T]]
  *
  * --trace-out writes a Chrome trace_event JSON of the measured READ
  * phases (load it at ui.perfetto.dev); --metrics-out dumps the
@@ -47,7 +47,7 @@
  * erase-limit retirement.
  *
  * --rain / --scrub run the media-decay reliability campaign on a
- * sharded 2-channel device: --rain attaches the cross-chip RAIN parity
+ * 2-channel device: --rain attaches the cross-chip RAIN parity
  * manager, --scrub the background patrol scrubber, and --diefail-at N
  * (or --blockfail-at N) injects a die (block) failure after the Nth
  * acknowledged write of a stamped mixed read/write workload. The
@@ -55,9 +55,9 @@
  * intact — XOR-rebuilt where its die died — and exits with the
  * distinct status 4 on any acknowledged-data loss.
  * --reliability-out FILE appends one deterministic digest line per run
- * so CI can cmp reruns and thread counts (--threads T).
+ * so CI can cmp reruns.
  *
- * --qpairs N switches to the NVMe-style queued front end: a sharded
+ * --qpairs N switches to the NVMe-style queued front end: a
  * multi-channel device reached through N submission/completion queue
  * pairs (DRAM rings + doorbells + interrupt coalescing) instead of
  * direct FTL calls. In this mode:
@@ -68,8 +68,10 @@
  *                   each with a token-bucket rate class and its own
  *                   latency SLO distribution
  *   --slo-out FILE  write the per-tenant p50/p99/p999 SLO report as
- *                   JSON (byte-identical at any --threads)
- *   --threads T     worker threads for the sharded engine
+ *                   JSON (byte-identical across reruns)
+ *
+ * --threads applies to fleet mode only: every other mode simulates one
+ * device on one event queue.
  */
 
 #include <algorithm>
@@ -94,7 +96,7 @@
 #include "reliability/rain.hh"
 #include "reliability/scrub.hh"
 #include "sim/fleet.hh"
-#include "ssd/sharded_ssd.hh"
+#include "ssd/ssd.hh"
 
 using namespace babol;
 using namespace babol::core;
@@ -206,7 +208,7 @@ runFleet(const std::string &flavor, const fault::FaultPlan *plan,
     std::vector<std::unique_ptr<obs::ExecContext>> ctxs(fleet);
     std::vector<std::unique_ptr<obs::audit::Auditor>> auditors(fleet);
     for (std::size_t m = 0; m < fleet; ++m) {
-        // Private registry + trace ring per member; shard id = member.
+        // Private registry + trace ring + span namespace per member.
         ctxs[m] = std::make_unique<obs::ExecContext>(
             obs::interner(), static_cast<std::uint32_t>(m));
         auditors[m] = obs::audit::Auditor::makeShard(
@@ -251,21 +253,15 @@ runFleet(const std::string &flavor, const fault::FaultPlan *plan,
 }
 
 /**
- * The NVMe-queued front-end mode: a sharded 2-channel device reached
- * through queue pairs, optionally replaying a trace and/or serving N
- * rate-classed tenants. All host-side machinery lives on shard 0, so
- * the run — including the SLO JSON — is byte-identical at any
- * --threads.
+ * The NVMe-queued front-end mode: a 2-channel device reached through
+ * queue pairs, optionally replaying a trace and/or serving N
+ * rate-classed tenants.
  */
 int
 runNvme(const std::string &flavor, std::uint32_t qpairs,
         const std::string &replay_path, std::uint32_t tenants,
-        const std::string &slo_out, std::uint32_t threads,
-        obs::cli::Options &obs_opts)
+        const std::string &slo_out, obs::cli::Options &obs_opts)
 {
-    if (threads == 0)
-        threads = 1;
-
     ssd::SsdConfig cfg;
     cfg.channels = 2;
     cfg.flavor = flavor == "hw" ? "hw-async" : flavor;
@@ -274,36 +270,38 @@ runNvme(const std::string &flavor, std::uint32_t qpairs,
     cfg.channel.rateMT = 200;
     cfg.channel.seed = 5;
     cfg.cpuMhz = 1000;
-    ssd::ShardedSsd dev("ssd", cfg);
+    EventQueue eq;
+    ssd::Ssd dev(eq, "ssd", cfg);
 
     ftl::FtlConfig fcfg;
     fcfg.blocksPerChip = 4;
     fcfg.overprovision = 0.25;
-    ftl::PageFtl ftl(dev.hostQueue(), "ftl", dev, fcfg);
+    ftl::PageFtl ftl(eq, "ftl", dev, fcfg);
 
     host::HicConfig hcfg;
     hcfg.maxInflight = 64;
-    host::Hic hic(dev.hostQueue(), "hic", ftl, hcfg);
+    host::Hic hic(eq, "hic", ftl, hcfg);
 
     host::nvme::NvmeConfig ncfg;
     ncfg.queuePairs = qpairs;
     ncfg.maxInflight = 64;
     ncfg.dramBase = 1 << 20;
-    host::nvme::NvmeFrontEnd fe(dev.hostQueue(), "nvme", hic, ncfg);
+    host::nvme::NvmeFrontEnd fe(eq, "nvme", hic, ncfg);
 
+    // One device runs on one event queue, hence on one thread.
     std::printf("NVMe front end: %u queue pair(s) over a 2-channel x "
-                "4-way %s device, %u thread(s)\n",
-                qpairs, cfg.flavor.c_str(), threads);
+                "4-way %s device, 1 thread(s)\n",
+                qpairs, cfg.flavor.c_str());
 
     // Precondition: fill half the logical space (direct FTL path; the
     // queued front end is for the measured phases).
     const std::uint64_t extent = ftl.logicalPages() / 2;
     host::FioConfig fill_cfg;
     fill_cfg.queueDepth = 16;
-    host::FioEngine filler(dev.hostQueue(), "fill", ftl, fill_cfg);
+    host::FioEngine filler(eq, "fill", ftl, fill_cfg);
     bool filled = false;
     filler.fill(extent, [&] { filled = true; });
-    dev.run(threads);
+    eq.run();
     if (!filled)
         fatal("fill did not complete");
     if (obs::trace().enabled())
@@ -315,11 +313,11 @@ runNvme(const std::string &flavor, std::uint32_t qpairs,
         const std::size_t records = ops.size();
         host::replay::ReplayConfig rcfg;
         rcfg.dramBase = 4 << 20;
-        host::replay::ReplayEngine rep(dev.hostQueue(), "replay", fe,
-                                       std::move(ops), rcfg);
+        host::replay::ReplayEngine rep(eq, "replay", fe, std::move(ops),
+                                       rcfg);
         bool done = false;
         rep.start([&] { done = true; });
-        dev.run(threads);
+        eq.run();
         if (!done || rep.errors())
             fatal("trace replay failed (%llu errors)",
                   static_cast<unsigned long long>(rep.errors()));
@@ -354,12 +352,11 @@ runNvme(const std::string &flavor, std::uint32_t qpairs,
                 (16 << 20) +
                 std::uint64_t(t) * tcfg.queueDepth * hic.sectorBytes();
             clients.push_back(std::make_unique<host::nvme::TenantClient>(
-                dev.hostQueue(), strfmt("tenant%04u", t), fe, sloReg,
-                tcfg));
+                eq, strfmt("tenant%04u", t), fe, sloReg, tcfg));
         }
         for (auto &c : clients)
             c->start([&] { ++done_count; });
-        dev.run(threads);
+        eq.run();
         if (done_count != tenants)
             fatal("only %u of %u tenants finished", done_count, tenants);
 
@@ -402,7 +399,7 @@ runNvme(const std::string &flavor, std::uint32_t qpairs,
                 static_cast<unsigned long long>(fe.sqFullRejects()),
                 static_cast<unsigned long long>(fe.hicStalls()));
 
-    obs_opts.captureMetrics(dev.hostQueue());
+    obs_opts.captureMetrics(eq);
     return obs_opts.finalize();
 }
 
@@ -948,26 +945,19 @@ runLifetimeSmoke(const std::string &flavor)
 constexpr int kExitDataLoss = 4;
 
 /**
- * The reliability campaign: a sharded 2x2 device runs a stamped mixed
+ * The reliability campaign: a 2x2 device runs a stamped mixed
  * read/write workload with the RAIN manager and/or patrol scrubber
  * attached; --diefail-at N kills a whole die (and --blockfail-at N a
  * block) after the Nth acknowledged write, mid-traffic. The campaign
  * then waits out the background rebuild sweep and walks the ledger:
  * every acknowledged generation must read back byte-intact, served
  * from the shadow map or XOR-rebuilt where its physical copy died.
- *
- * Everything host-side lives on shard 0, so the run — including the
- * exit digest — is byte-identical at any --threads.
  */
 int
 runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
                std::uint64_t diefail_at, std::uint64_t blockfail_at,
-               const std::string &rel_out, std::uint32_t threads,
-               obs::cli::Options &obs_opts)
+               const std::string &rel_out, obs::cli::Options &obs_opts)
 {
-    if (threads == 0)
-        threads = 1;
-
     ssd::SsdConfig cfg;
     cfg.channels = 2;
     cfg.flavor = flavor == "hw" ? "hw-async" : flavor;
@@ -978,7 +968,8 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
     cfg.channel.rateMT = 200;
     cfg.channel.seed = 11;
     cfg.maxReadRetries = 4;
-    ssd::ShardedSsd dev("ssd", cfg);
+    EventQueue eq;
+    ssd::Ssd dev(eq, "ssd", cfg);
 
     // The engine must be armed (even with an empty plan) for the
     // harness failDie/failBlock calls and the media-decay hooks.
@@ -993,18 +984,17 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
     fcfg.blocksPerChip = 16;
     fcfg.overprovision = 0.25;
     fcfg.reliabilityScratchPages = 8;
-    ftl::PageFtl ftl(dev.hostQueue(), "ftl", dev, fcfg);
+    ftl::PageFtl ftl(eq, "ftl", dev, fcfg);
 
     std::unique_ptr<reliability::RainManager> rain;
     if (rain_on)
-        rain = std::make_unique<reliability::RainManager>(
-            dev.hostQueue(), "rain", ftl);
+        rain = std::make_unique<reliability::RainManager>(eq, "rain", ftl);
     std::unique_ptr<reliability::PatrolScrubber> scrub;
     if (scrub_on) {
         reliability::ScrubConfig scfg;
         scfg.intervalUs = 50;
         scrub = std::make_unique<reliability::PatrolScrubber>(
-            dev.hostQueue(), "scrub", ftl, scfg);
+            eq, "scrub", ftl, scfg);
         scrub->start();
     }
 
@@ -1018,7 +1008,7 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
     if (blockfail_at)
         std::printf(" blockfail@%llu",
                     static_cast<unsigned long long>(blockfail_at));
-    std::printf(", %u thread(s)\n", threads);
+    std::printf(", 1 thread(s)\n");
 
     // --- Phase 1: stamped mixed workload, fault injected mid-flight ---
     const std::uint32_t page_bytes = ftl.pageBytes();
@@ -1087,23 +1077,21 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
             ++led.acked;
             if (diefail_at && led.acked == diefail_at && !die_killed) {
                 die_killed = true;
-                dev.faults().failDie(dev.backendChipName(kill_chip),
-                                     dev.hostQueue().now());
+                dev.faults().failDie(dev.backendChipName(kill_chip), eq.now());
                 ftl.markChipDead(kill_chip);
             }
             if (blockfail_at && led.acked == blockfail_at &&
                 !block_killed) {
                 block_killed = true;
-                dev.faults().failBlock(
-                    dev.backendChipName(blockfail_chip), 1, 1,
-                    dev.hostQueue().now());
+                dev.faults().failBlock(dev.backendChipName(blockfail_chip),
+                                       1, 1, eq.now());
             }
             issue(slot);
         });
     };
     for (std::uint32_t q = 0; q < kCrashQd; ++q)
         issue(q);
-    dev.run(threads); // returns once the rebuild sweep drains too
+    eq.run(); // returns once the rebuild sweep drains too
 
     if (completed != issued)
         fatal("reliability workload stalled: %llu of %llu ops done",
@@ -1201,7 +1189,7 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
         });
     };
     verify_next();
-    dev.run(threads);
+    eq.run();
     fold(led.acked);
     fold(read_failures + read_corrupt);
     fold(lost + corrupt);
@@ -1230,7 +1218,7 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
     }
 
     std::printf("\n%s\n", dev.faults().summary().c_str());
-    obs_opts.captureMetrics(dev.hostQueue());
+    obs_opts.captureMetrics(eq);
     int status = obs_opts.finalize();
 
     if (lost || corrupt || host_loss || ftl.dataLoss()) {
@@ -1358,7 +1346,7 @@ main(int argc, char **argv)
             flavor = argv[i];
         else
             fatal("usage: ssd_fio [coro|rtos|hw] [--faults plan.txt] "
-                  "[--fleet N] [--streams M] [--threads T] "
+                  "[--fleet N [--streams M] [--threads T]] "
                   "[--crash-at N] [--crash-plan FILE] [--remount] "
                   "[--crash-out FILE] [--lifetime-smoke] "
                   "[--rain] [--scrub] [--diefail-at N] "
@@ -1373,11 +1361,13 @@ main(int argc, char **argv)
         qpairs == 0)
         fatal("--replay/--tenants/--slo-out need the queued front end: "
               "pass --qpairs N");
+    if (threads != 1 && fleet == 0)
+        fatal("--threads applies to fleet mode only: pass --fleet N");
     if (qpairs > 0) {
         if (replay_path.empty() && tenants == 0)
             tenants = 8; // a front-end demo needs traffic
         return runNvme(flavor, qpairs, replay_path, tenants, slo_out,
-                       threads, obs_opts);
+                       obs_opts);
     }
 
     if (lifetime_smoke)
@@ -1385,7 +1375,7 @@ main(int argc, char **argv)
 
     if (rain_on || scrub_on || diefail_at || blockfail_at)
         return runReliability(flavor, rain_on, scrub_on, diefail_at,
-                              blockfail_at, rel_out, threads, obs_opts);
+                              blockfail_at, rel_out, obs_opts);
 
     if (!crash_plan_path.empty() || !crash_points.empty() ||
         clean_remount) {

@@ -6,37 +6,38 @@
 # chiefly for the event kernel's pool / free-list / intrusive-list code,
 # where a stale index or double release would otherwise corrupt silently.
 #
-# The TSan pass (-DBABOL_TSAN=ON) covers the sharded multi-core engine:
-# the tier-1 suite plus the seeded fig12 workload on 4 worker threads,
-# so every cross-shard ring, barrier, and merged-trace path runs under
-# the race detector.
+# The TSan pass (-DBABOL_TSAN=ON) covers fleet mode, the only
+# multi-threaded path: the tier-1 suite (including babol_fleet_tests)
+# plus a fleet run on 4 worker threads, so what the members share (the
+# label interner, the process auditor they clone) runs under the race
+# detector.
 #
 # Stages (all run when no flag is given; CI runs them as separate jobs):
 #   --plain-only   configure/build/ctest, default flags
 #   --asan-only    configure/build/ctest with ASan + UBSan
-#   --tsan-only    configure/build/ctest with TSan + the sharded fig12
-#                  workload on 4 threads
+#   --tsan-only    configure/build/ctest with TSan + a fleet run on 4
+#                  threads
 #   --audit-only   BABOL_AUDIT=1 sanitizer sweep + fault campaigns and
 #                  power-capped runs on every controller flavour, plus
-#                  the sharded engine at 1/2/4 threads and the
-#                  wear-bounded lifetime smoke (requires a prior
-#                  plain build; runs one if build/ is missing)
+#                  the queued front end and the wear-bounded lifetime
+#                  smoke (requires a prior plain build; runs one if
+#                  build/ is missing)
 #   --crash-only   crash/remount campaign: the committed power-cut plan
 #                  (examples/crash_plan.txt) on every controller
 #                  flavour under BABOL_AUDIT=1, a byte-identical-rerun
 #                  determinism check, and a clean-shutdown remount
 #                  (same build requirement)
 #   --guard-only   bench-regression + tracing-overhead guards and the
-#                  determinism smokes: fig12 --threads 1/2/4 must print
-#                  byte-identical tables, and the multi-tenant SLO JSON
-#                  must be byte-identical across thread counts (same
-#                  build requirement)
+#                  determinism smokes: a fleet run must print the same
+#                  report at 1 and 4 threads, and the power summary and
+#                  multi-tenant SLO JSON must be byte-identical across
+#                  reruns (same build requirement)
 #   --reliability-only  media-decay campaign: a die killed mid-workload
 #                  on every controller flavour under BABOL_AUDIT=1 with
 #                  RAIN + patrol scrub on, asserting zero acknowledged
-#                  data loss, byte-identical rerun and thread-count
-#                  digests, a surviving block failure, and the no-RAIN
-#                  control that MUST lose data (same build requirement)
+#                  data loss, byte-identical rerun digests, a surviving
+#                  block failure, and the no-RAIN control that MUST lose
+#                  data (same build requirement)
 #
 # Usage: scripts/ci.sh
 #   [--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|
@@ -75,9 +76,9 @@ stage_asan() {
 stage_tsan() {
     echo "=== tier-1: TSan ==="
     run_suite "$ROOT/build-tsan" -DBABOL_TSAN=ON
-    echo "=== tier-1: TSan sharded fig12 (4 threads) ==="
-    "$ROOT/build-tsan/bench/fig12_end_to_end" --quick --threads 4 \
-        >/dev/null
+    echo "=== tier-1: TSan fleet (4 threads) ==="
+    "$ROOT/build-tsan/examples/ssd_fio" coro --fleet 8 --streams 2 \
+        --threads 4 >/dev/null
 }
 
 # ONFI conformance audit: the whole suite and the figure benches run
@@ -96,23 +97,15 @@ stage_audit() {
     BABOL_AUDIT=1 "$ROOT/build/bench/fig12_end_to_end" --quick >/dev/null
     "$ROOT/build/examples/ssd_fio" coro --audit | tail -3
 
-    # The sharded engine must audit clean at every thread count: the
-    # auditor runs per-shard and its ledgers are absorbed at barriers,
-    # so a miscounted absorb would show up here as a panic.
-    echo "=== tier-1: sharded-engine audit (1/2/4 threads) ==="
-    local t
-    for t in 1 2 4; do
-        BABOL_AUDIT=1 "$ROOT/build/bench/fig12_end_to_end" --quick \
-            --threads "$t" >/dev/null
-    done
+    # The queued front end must audit clean too: SQ fetches and CQE
+    # posts interleave with the flash work of a multi-channel device.
+    echo "=== tier-1: queued front-end audit (fig12 --qpairs 4) ==="
+    BABOL_AUDIT=1 "$ROOT/build/bench/fig12_end_to_end" --quick \
+        --qpairs 4 >/dev/null
 
-    # The NVMe front end replayed on the sharded engine must audit
-    # clean too: queue fetches/CQE posts ride the host shard while
-    # flash work crosses shard links.
-    echo "=== tier-1: sharded trace replay audit (4 threads) ==="
+    echo "=== tier-1: trace replay audit ==="
     BABOL_AUDIT=1 "$ROOT/build/examples/ssd_fio" coro --qpairs 2 \
-        --replay "$ROOT/examples/trace_sample.txt" --threads 4 \
-        | tail -3
+        --replay "$ROOT/examples/trace_sample.txt" | tail -3
 
     # Power-accounting smoke: run every flavour with the sanitizer armed
     # and a power cap low enough to open throttle windows. The auditor's
@@ -187,9 +180,9 @@ stage_crash() {
 # data loss (exit 0, not the data-loss exit code 4), every stranded
 # page XOR-rebuilt and verified by read-back digest — and the whole
 # campaign is deterministic, so a rerun's digest file must be
-# byte-identical, as must the digest across 1/2/4 worker threads. A
-# block failure must be survived the same way, and the no-RAIN control
-# MUST lose data (proving the campaign actually bites).
+# byte-identical. A block failure must be survived the same way, and
+# the no-RAIN control MUST lose data (proving the campaign actually
+# bites).
 stage_reliability() {
     ensure_plain_build
     echo "=== tier-1: reliability test suite (ctest -L reliability) ==="
@@ -219,26 +212,6 @@ stage_reliability() {
         }
     done
     echo "    byte-identical recovery digests on reruns"
-
-    echo "=== tier-1: reliability thread-count determinism (1/2/4) ==="
-    local t
-    for t in 1 2 4; do
-        BABOL_AUDIT=1 "$ROOT/build/examples/ssd_fio" coro \
-            --rain --scrub --diefail-at 200 --threads "$t" \
-            --reliability-out "$ROOT/build/reliability-reports/rel_t${t}.txt" \
-            >/dev/null
-    done
-    cmp "$ROOT/build/reliability-reports/rel_t1.txt" \
-        "$ROOT/build/reliability-reports/rel_t2.txt" || {
-        echo "FAIL: reliability digest differs between 1 and 2 threads"
-        exit 1
-    }
-    cmp "$ROOT/build/reliability-reports/rel_t1.txt" \
-        "$ROOT/build/reliability-reports/rel_t4.txt" || {
-        echo "FAIL: reliability digest differs between 1 and 4 threads"
-        exit 1
-    }
-    echo "    identical digests at 1, 2, and 4 threads"
 
     echo "=== tier-1: reliability block-failure campaign ==="
     BABOL_AUDIT=1 "$ROOT/build/examples/ssd_fio" coro \
@@ -318,52 +291,48 @@ stage_guard() {
         }
     fi
 
-    # Sharded determinism smoke: the fig12 workload on the sharded
-    # engine is a pure function of the model, so the printed table must
-    # be byte-identical no matter how many worker threads run it.
-    echo "=== tier-1: sharded determinism smoke (--threads 1/2/4) ==="
+    # Fleet determinism smoke: every member's report is a pure
+    # function of its seed, so the fleet output must be identical at 1
+    # and 4 worker threads from line 2 on (line 1 names the thread
+    # count).
+    echo "=== tier-1: fleet determinism smoke (--threads 1/4) ==="
     local t
-    for t in 1 2 4; do
-        "$ROOT/build/bench/fig12_end_to_end" --quick --threads "$t" \
-            > "$ROOT/build/fig12_t${t}.txt"
+    for t in 1 4; do
+        "$ROOT/build/examples/ssd_fio" coro --fleet 8 --streams 2 \
+            --threads "$t" | tail -n +2 > "$ROOT/build/fleet_t${t}.txt"
     done
-    diff "$ROOT/build/fig12_t1.txt" "$ROOT/build/fig12_t2.txt" || {
-        echo "FAIL: sharded fig12 output differs between 1 and 2 threads"
+    diff "$ROOT/build/fleet_t1.txt" "$ROOT/build/fleet_t4.txt" || {
+        echo "FAIL: fleet output differs between 1 and 4 threads"
         exit 1
     }
-    diff "$ROOT/build/fig12_t1.txt" "$ROOT/build/fig12_t4.txt" || {
-        echo "FAIL: sharded fig12 output differs between 1 and 4 threads"
-        exit 1
-    }
-    echo "    identical tables at 1, 2, and 4 threads"
+    echo "    identical fleet reports at 1 and 4 threads"
 
-    # Power determinism smoke: per-rail energy is integer femtojoules
-    # (order-independent sums), so the power summary must be
-    # byte-identical no matter how many worker threads ran the device.
-    echo "=== tier-1: power determinism smoke (--threads 1/4) ==="
-    "$ROOT/build/examples/ssd_fio" coro --power-out "$ROOT/build/power_t1.json" \
-        --threads 1 >/dev/null
-    "$ROOT/build/examples/ssd_fio" coro --power-out "$ROOT/build/power_t4.json" \
-        --threads 4 >/dev/null
-    cmp "$ROOT/build/power_t1.json" "$ROOT/build/power_t4.json" || {
-        echo "FAIL: power summary differs between 1 and 4 threads"
+    # Power determinism smoke: per-rail energy is integer femtojoules,
+    # so the power summary must be byte-identical across reruns.
+    echo "=== tier-1: power determinism smoke (rerun) ==="
+    "$ROOT/build/examples/ssd_fio" coro \
+        --power-out "$ROOT/build/power_a.json" >/dev/null
+    "$ROOT/build/examples/ssd_fio" coro \
+        --power-out "$ROOT/build/power_b.json" >/dev/null
+    cmp "$ROOT/build/power_a.json" "$ROOT/build/power_b.json" || {
+        echo "FAIL: power summary differs between reruns"
         exit 1
     }
-    echo "    identical power summaries at 1 and 4 threads"
+    echo "    identical power summaries on reruns"
 
     # Multi-tenant determinism smoke: the per-tenant SLO report is a
-    # pure function of the model too — two runs at different thread
-    # counts must produce byte-identical JSON.
-    echo "=== tier-1: multi-tenant SLO determinism smoke ==="
+    # pure function of the model too — two runs must produce
+    # byte-identical JSON.
+    echo "=== tier-1: multi-tenant SLO determinism smoke (rerun) ==="
     "$ROOT/build/examples/ssd_fio" coro --qpairs 4 --tenants 50 \
-        --slo-out "$ROOT/build/slo_t1.json" --threads 1 >/dev/null
+        --slo-out "$ROOT/build/slo_a.json" >/dev/null
     "$ROOT/build/examples/ssd_fio" coro --qpairs 4 --tenants 50 \
-        --slo-out "$ROOT/build/slo_t4.json" --threads 4 >/dev/null
-    cmp "$ROOT/build/slo_t1.json" "$ROOT/build/slo_t4.json" || {
-        echo "FAIL: tenant SLO report differs between 1 and 4 threads"
+        --slo-out "$ROOT/build/slo_b.json" >/dev/null
+    cmp "$ROOT/build/slo_a.json" "$ROOT/build/slo_b.json" || {
+        echo "FAIL: tenant SLO report differs between reruns"
         exit 1
     }
-    echo "    identical SLO JSON at 1 and 4 threads (50 tenants)"
+    echo "    identical SLO JSON on reruns (50 tenants)"
 }
 
 case "$MODE" in

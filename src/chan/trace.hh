@@ -136,10 +136,10 @@ class BusTrace
   private:
     /**
      * The ambient execution context's recorder, resolved per call —
-     * never cached. On a sharded worker this is the shard's own ring
-     * (lock-free, merged deterministically at epoch barriers); caching
-     * the constructor-time recorder would make every channel push into
-     * the main ring concurrently.
+     * never cached. On a fleet worker this is the member's own ring;
+     * caching the constructor-time recorder would make a channel built
+     * before its member's context was installed push into the main
+     * ring from a worker thread.
      */
     obs::TraceRecorder &rec() const { return obs::trace(); }
 

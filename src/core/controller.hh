@@ -64,9 +64,9 @@ class ChannelController : public SimObject, public FlashBackend
             [this](std::uint32_t chip) { return opCtx(chip); });
 
         // With a power cap configured, this channel gets a governor fed
-        // by its bus and LUN rails (the channel-local meters, so shards
-        // stay independent); submit() holds requests back while it
-        // throttles.
+        // by its bus and LUN rails (the channel-local meters, so
+        // channels stay independent); submit() holds requests back
+        // while it throttles.
         auto &pm = obs::power::modelOf(sys.config().package.power);
         if (pm.enabled() && pm.governorConfig().capMw > 0) {
             gov_ = std::make_unique<obs::power::PowerGovernor>(

@@ -47,9 +47,7 @@ class Packetizer : public SimObject
         if (!dw.inlineData.empty())
             return dw.inlineData;
         std::vector<std::uint8_t> bytes(dw.bytes);
-        // Shard-local access time: the staging buffer is shared across
-        // channel shards, whose clocks must not be read cross-thread.
-        dram_.read(dw.dramAddr, bytes, curTick());
+        dram_.read(dw.dramAddr, bytes);
         if (dw.eccEncode)
             return ecc_.encode(bytes);
         return bytes;
@@ -68,7 +66,7 @@ class Packetizer : public SimObject
         ++descriptors_;
         if (!dr.eccCorrect) {
             if (dr.toDram)
-                dram_.write(dr.dramAddr, bytes, curTick());
+                dram_.write(dr.dramAddr, bytes);
             return report;
         }
         report = ecc_.decode(bytes, dr.pageColumn, flips);
@@ -76,8 +74,7 @@ class Packetizer : public SimObject
             std::uint32_t payload =
                 static_cast<std::uint32_t>(bytes.size()) /
                 ecc_.codewordTotalBytes() * ecc_.params().codewordDataBytes;
-            dram_.write(dr.dramAddr, ecc_.extractData(bytes, payload),
-                        curTick());
+            dram_.write(dr.dramAddr, ecc_.extractData(bytes, payload));
         }
         return report;
     }

@@ -26,14 +26,13 @@ DramBuffer::checkRange(std::uint64_t addr, std::uint64_t len) const
 }
 
 void
-DramBuffer::write(std::uint64_t addr, std::span<const std::uint8_t> data,
-                  Tick at)
+DramBuffer::write(std::uint64_t addr, std::span<const std::uint8_t> data)
 {
     checkRange(addr, data.size());
     std::copy(data.begin(), data.end(), mem_.begin() + addr);
     bytesWritten_.fetch_add(data.size(), std::memory_order_relaxed);
     if (power_.enabled()) {
-        const Tick t0 = at == kOwnClock ? curTick() : at;
+        const Tick t0 = curTick();
         const std::uint64_t fj = data.size() *
             power_.params().dramPjPerByte * 1000;
         power_.chargeEnergy(1, fj);
@@ -42,15 +41,14 @@ DramBuffer::write(std::uint64_t addr, std::span<const std::uint8_t> data,
 }
 
 void
-DramBuffer::read(std::uint64_t addr, std::span<std::uint8_t> out,
-                 Tick at) const
+DramBuffer::read(std::uint64_t addr, std::span<std::uint8_t> out) const
 {
     checkRange(addr, out.size());
     std::copy(mem_.begin() + addr, mem_.begin() + addr + out.size(),
               out.begin());
     bytesRead_.fetch_add(out.size(), std::memory_order_relaxed);
     if (power_.enabled()) {
-        const Tick t0 = at == kOwnClock ? curTick() : at;
+        const Tick t0 = curTick();
         const std::uint64_t fj = out.size() *
             power_.params().dramPjPerByte * 1000;
         power_.chargeEnergy(0, fj);

@@ -40,22 +40,12 @@ class DramBuffer : public SimObject
 
     std::uint64_t size() const { return mem_.size(); }
 
-    /** "Stamp the access with my own queue's clock" — the right value
-     *  for callers living on the DRAM's queue (host-side HIC/NVMe).
-     *  Channel shards of a sharded device MUST pass their own shard
-     *  time instead: reading this buffer's host-queue clock from a
-     *  worker thread is racy and would make the power rail's activity
-     *  windows depend on the worker-thread count. */
-    static constexpr Tick kOwnClock = ~Tick(0);
-
-    /** Copy @p data into the buffer at @p addr (backing-store access).
-     *  @p at is the access time for the power rail (see kOwnClock). */
-    void write(std::uint64_t addr, std::span<const std::uint8_t> data,
-               Tick at = kOwnClock);
+    /** Copy @p data into the buffer at @p addr (backing-store access);
+     *  the power rail stamps the access with this buffer's clock. */
+    void write(std::uint64_t addr, std::span<const std::uint8_t> data);
 
     /** Copy out of the buffer at @p addr. */
-    void read(std::uint64_t addr, std::span<std::uint8_t> out,
-              Tick at = kOwnClock) const;
+    void read(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
     /** Time a DMA of @p bytes occupies the DRAM port. */
     Tick transferTime(std::uint64_t bytes) const;
@@ -79,15 +69,15 @@ class DramBuffer : public SimObject
     double bandwidthMBps_;
     Tick setupLatency_;
 
-    /** The staging DRAM is shared by every channel shard of a sharded
-     *  device, so the accounting is relaxed-atomic. The byte array
-     *  itself needs no locking: disjoint staging regions per op. */
+    /** The staging DRAM is shared by every channel of a device; the
+     *  accounting is relaxed-atomic. The byte array itself needs no
+     *  locking: disjoint staging regions per op. */
     mutable std::atomic<std::uint64_t> bytesWritten_{0};
     mutable std::atomic<std::uint64_t> bytesRead_{0};
 
-    /** Like the byte counters, the meter takes charges from every shard
-     *  touching the shared staging buffer; its accumulators are relaxed
-     *  atomics, so the totals stay order-independent. */
+    /** Like the byte counters, the meter takes charges from every
+     *  channel touching the shared staging buffer; its accumulators are
+     *  relaxed atomics, so the totals stay order-independent. */
     mutable obs::power::Meter power_;
 };
 

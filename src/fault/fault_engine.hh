@@ -17,12 +17,11 @@
  * instance() survives as the process default for components with no
  * engine attached, so existing harnesses and tests keep working.
  *
- * Thread-safety: a device's engine is shared by all of its channel
- * shards, so the armed flag is atomic and every armed hook takes a
- * mutex (disarmed hooks stay a single relaxed load). NOTE: an *armed*
- * campaign run multi-threaded is TSan-clean but the strike/RNG
- * ordering follows wall-clock shard interleaving — deterministic fault
- * campaigns should run with one thread (CI does).
+ * Thread-safety: the armed flag is atomic and every armed hook takes a
+ * mutex (disarmed hooks stay a single relaxed load), so an engine
+ * shared across threads stays TSan-clean — but its strike/RNG ordering
+ * would then follow wall-clock interleaving. Deterministic campaigns
+ * give each device (each fleet member) its own engine.
  *
  * The engine also owns the cross-cutting recovery metrics the issue
  * calls out — `fault.injected`, `retry.steps`, `remap.count` — so the

@@ -1,7 +1,12 @@
 #include "fault_plan.hh"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "sim/logging.hh"
 
@@ -47,6 +52,23 @@ kindFromString(const std::string &s, int line_no)
           s.c_str());
 }
 
+/** An all-digit decimal no larger than @p max; nullopt otherwise (a
+ *  sign, trailing junk, an empty string or an out-of-range value). */
+std::optional<std::uint64_t>
+parseDigits(std::string_view val, std::uint64_t max)
+{
+    // from_chars takes no sign, whitespace or base prefix for unsigned
+    // types, so only the full-length match needs checking.
+    std::uint64_t v = 0;
+    const char *end = val.data() + val.size();
+    auto [ptr, ec] = std::from_chars(val.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max)
+        return std::nullopt;
+    return v;
+}
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+
 /** "7" or "2-9" (inclusive); "*" leaves the full range. */
 void
 parseRange(const std::string &val, int line_no, std::uint32_t *lo,
@@ -54,19 +76,16 @@ parseRange(const std::string &val, int line_no, std::uint32_t *lo,
 {
     if (val == "*")
         return;
-    std::size_t dash = val.find('-');
-    try {
-        if (dash == std::string::npos) {
-            *lo = *hi = static_cast<std::uint32_t>(std::stoul(val));
-        } else {
-            *lo = static_cast<std::uint32_t>(
-                std::stoul(val.substr(0, dash)));
-            *hi = static_cast<std::uint32_t>(
-                std::stoul(val.substr(dash + 1)));
-        }
-    } catch (const std::exception &) {
+    const std::size_t dash = val.find('-');
+    const std::string_view v(val);
+    auto a = parseDigits(v.substr(0, dash), kU32Max);
+    auto b = dash == std::string::npos ? a
+                                       : parseDigits(v.substr(dash + 1),
+                                                     kU32Max);
+    if (!a || !b)
         panic("fault plan line %d: bad range '%s'", line_no, val.c_str());
-    }
+    *lo = static_cast<std::uint32_t>(*a);
+    *hi = static_cast<std::uint32_t>(*b);
     if (*lo > *hi)
         panic("fault plan line %d: inverted range '%s'", line_no,
               val.c_str());
@@ -75,12 +94,11 @@ parseRange(const std::string &val, int line_no, std::uint32_t *lo,
 std::uint32_t
 parseU32(const std::string &val, int line_no, const char *key)
 {
-    try {
-        return static_cast<std::uint32_t>(std::stoul(val));
-    } catch (const std::exception &) {
+    auto v = parseDigits(val, kU32Max);
+    if (!v)
         panic("fault plan line %d: bad %s value '%s'", line_no, key,
               val.c_str());
-    }
+    return static_cast<std::uint32_t>(*v);
 }
 
 } // namespace
@@ -104,10 +122,15 @@ parsePlan(const std::string &text)
             continue; // blank / comment-only line
 
         if (word == "seed") {
-            std::uint64_t seed = 0;
-            if (!(ls >> seed))
+            std::string val;
+            if (!(ls >> val))
                 panic("fault plan line %d: 'seed' needs a value", line_no);
-            plan.seed = seed;
+            auto seed =
+                parseDigits(val, std::numeric_limits<std::uint64_t>::max());
+            if (!seed)
+                panic("fault plan line %d: bad seed value '%s'", line_no,
+                      val.c_str());
+            plan.seed = *seed;
             continue;
         }
         if (word != "fault") {

@@ -16,8 +16,7 @@ using core::OpResult;
  * blocks independently (one outstanding OOB_READ per chip, so the scan
  * parallelises across channels exactly like host traffic); the
  * per-page results are merged only in finishMount(), which makes the
- * rebuilt state independent of completion order — and therefore
- * byte-identical at any shard-thread count.
+ * rebuilt state independent of completion order.
  */
 struct PageFtl::MountScan
 {
@@ -264,7 +263,7 @@ PageFtl::mountScanNext(std::uint32_t chip)
         MountScan &ms = *mountScan_;
 
         std::vector<std::uint8_t> tail(oobBytes_);
-        backend_.backendDram().read(scratch, tail, curTick());
+        backend_.backendDram().read(scratch, tail);
 
         if (oobErased(tail)) {
             // Unprogrammed page: the block's write frontier. Nothing
@@ -425,9 +424,8 @@ PageFtl::readPage(std::uint64_t lpn, std::uint64_t dram_addr, Callback cb)
             ++wbHits_;
             std::vector<std::uint8_t> data(pageBytes_);
             dram::DramBuffer &dram = backend_.backendDram();
-            dram.read(slotAddr(static_cast<std::uint32_t>(hit)), data,
-                      curTick());
-            dram.write(dram_addr, data, curTick());
+            dram.read(slotAddr(static_cast<std::uint32_t>(hit)), data);
+            dram.write(dram_addr, data);
             scheduleIn(dram.transferTime(pageBytes_),
                        [cb] { cb(true); }, "ftl buffered read");
             return;
@@ -541,8 +539,8 @@ PageFtl::bufferWrite(std::uint64_t lpn, std::uint64_t dram_addr,
 
     auto stage = [&](std::uint32_t slot) {
         std::vector<std::uint8_t> data(pageBytes_);
-        dram.read(dram_addr, data, curTick());
-        dram.write(slotAddr(slot), data, curTick());
+        dram.read(dram_addr, data);
+        dram.write(slotAddr(slot), data);
     };
 
     // Coalesce: a younger write to a buffered LPN overwrites in place;

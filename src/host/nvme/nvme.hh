@@ -7,8 +7,7 @@
  * queues resident in the staging DRAM, doorbell registers, per-queue
  * arbitration (round-robin or weighted), and an interrupt-coalescing
  * model (threshold + timer) on the completion side. Everything runs on
- * the host shard's event queue, so runs stay byte-deterministic at any
- * worker-thread count.
+ * the device's event queue, so runs stay byte-deterministic.
  *
  * The model keeps NVMe's essential mechanics without the full spec:
  *
@@ -95,8 +94,8 @@ struct NvmeConfig
 /**
  * The device-plus-driver model of the queueing front end. Host-side
  * calls (trySubmit, the CQ drain) and device-side machinery (arbiter,
- * fetch, CQE post, interrupts) run on the same host-shard event queue,
- * with the doorbell/interrupt latencies modeling the boundary.
+ * fetch, CQE post, interrupts) run on the same event queue, with the
+ * doorbell/interrupt latencies modeling the boundary.
  */
 class NvmeFrontEnd : public SimObject
 {

@@ -24,15 +24,14 @@
  * header-only PODs (TimingParams, CycleType) so babol_obs stays at the
  * bottom of the library stack.
  *
- * Sharded runs: the stateful rules (per-CE AC timing history) and the
- * flight dumps are only coherent within one channel, so the sharded
- * engine gives every shard a detached Auditor (makeShard) mirroring
- * the process instance's armed config, installs it on the worker
- * thread via current()/exchangeCurrent while the shard runs, and folds
- * segment counts and diagnostics back with absorb() at the end. A
- * channel lives wholly on one shard, so each rule still sees its
- * complete, ordered segment stream. The span-conservation pass
- * (finish) runs once, on the merged trace.
+ * Fleet runs: the stateful rules (per-CE AC timing history) and the
+ * flight dumps are only coherent within one device, so fleet mode
+ * gives every member a detached Auditor (makeShard) mirroring the
+ * process instance's armed config, installs it on the worker thread
+ * via current()/exchangeCurrent while the member runs, and folds
+ * segment counts and diagnostics back with absorb() at the end, in
+ * member order. A device lives wholly on one member, so each rule
+ * still sees its complete, ordered segment stream.
  */
 
 #ifndef BABOL_OBS_AUDIT_AUDITOR_HH
@@ -133,8 +132,8 @@ class Auditor
      */
     static std::unique_ptr<Auditor> makeShard(const Auditor &src);
 
-    /** Fold a shard auditor's segment count and diagnostics into this
-     *  one (deterministic when absorbed in shard order). */
+    /** Fold a detached auditor's segment count and diagnostics into
+     *  this one (deterministic when absorbed in member order). */
     void absorb(Auditor &shard);
 
     /** True when taps should report (the hot-path check). */

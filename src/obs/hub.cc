@@ -1,8 +1,5 @@
 #include "hub.hh"
 
-#include <algorithm>
-#include <vector>
-
 #include "sim/event_queue.hh"
 
 namespace babol::obs {
@@ -30,40 +27,6 @@ Hub::exchangeCurrent(ExecContext *ctx)
     ExecContext *prev = tlsCtx;
     tlsCtx = ctx;
     return prev;
-}
-
-void
-mergeShardTraces(TraceRecorder &dst, ExecContext *const *shards,
-                 std::size_t count)
-{
-    struct Key
-    {
-        const TraceRecord *rec;
-        std::uint64_t seq;
-        std::uint32_t shard;
-    };
-    std::vector<Key> keys;
-    std::size_t held = 0;
-    for (std::size_t i = 0; i < count; ++i)
-        held += shards[i]->trace.size();
-    keys.reserve(held);
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceRecorder &tr = shards[i]->trace;
-        const std::uint32_t shard = shards[i]->shard;
-        for (std::size_t j = 0; j < tr.size(); ++j)
-            keys.push_back(Key{&tr.at(j), tr.seqOfOldest() + j, shard});
-    }
-    std::sort(keys.begin(), keys.end(), [](const Key &a, const Key &b) {
-        if (a.rec->t0 != b.rec->t0)
-            return a.rec->t0 < b.rec->t0;
-        if (a.shard != b.shard)
-            return a.shard < b.shard;
-        return a.seq < b.seq;
-    });
-    for (const Key &k : keys)
-        dst.push(*k.rec);
-    for (std::size_t i = 0; i < count; ++i)
-        shards[i]->trace.clear();
 }
 
 MetricsGroup &

@@ -1,29 +1,26 @@
 /**
  * @file
- * The observability hub: one process-wide home for the label interner
- * and the metrics registry, plus the *execution context* — the trace
- * recorder and ambient span slot the recording helpers route through.
+ * The observability hub: one process-wide home for the label interner,
+ * plus the *execution context* — the trace recorder, metrics registry
+ * and ambient span slot the recording helpers route through.
  *
- * Classic runs are single-threaded (one EventQueue, sequential
- * callbacks), and everything lives in the hub's main ExecContext — the
- * behaviour of previous releases. The sharded engine gives every shard
- * (and fleet mode every member) its own ExecContext and installs it on
- * the worker thread via a thread-local while that shard runs, so trace
- * records and span ids are produced into per-shard buffers with no
- * synchronization on the hot path; the engine merges them
- * deterministically at epoch boundaries (mergeShardTraces).
+ * A device runs single-threaded (one EventQueue, sequential callbacks),
+ * and a classic run records everything into the hub's main
+ * ExecContext. Fleet mode gives every member its own ExecContext and
+ * installs it on the worker thread via a thread-local while that
+ * member runs, so trace records, metrics and span ids land in
+ * per-member buffers with no synchronization on the hot path.
  *
  * Shared pieces and their thread-safety:
- *  - Interner: global (ids must agree across shards so merged records
- *    decode uniformly); mutex-guarded — interning is a cold,
- *    construction-time path.
- *  - MetricsRegistry: the process registry is mutex-guarded for
- *    registration/snapshot; fleet members use private registries via
- *    their ExecContext. Counters themselves stay plain — each belongs
- *    to exactly one shard's components.
- *  - Span ids: each ExecContext mints ids in its own namespace
- *    (shard id in the top bits), so ids are unique across shards and
- *    identical at any thread count. Shard 0 / main keeps today's ids.
+ *  - Interner: global (ids must agree across members so records decode
+ *    uniformly); mutex-guarded — interning is a cold, construction-time
+ *    path.
+ *  - MetricsRegistry: one per ExecContext; the main context's registry
+ *    is the process registry. Counters themselves stay plain — each
+ *    belongs to exactly one member's components.
+ *  - Span ids: each ExecContext mints ids in its own namespace (member
+ *    id in the top bits), so ids are unique across members and
+ *    identical at any thread count. The main context keeps namespace 0.
  *
  * Tests call reset() between runs so recorded state never leaks across
  * fixtures.
@@ -31,8 +28,6 @@
 
 #ifndef BABOL_OBS_HUB_HH
 #define BABOL_OBS_HUB_HH
-
-#include <memory>
 
 #include "interner.hh"
 #include "metrics.hh"
@@ -45,43 +40,29 @@ class EventQueue;
 
 namespace babol::obs {
 
-/** Shard index is packed into the top bits of every minted SpanId. */
-constexpr unsigned kSpanShardShift = 48;
+/** Member index is packed into the top bits of every minted SpanId. */
+constexpr unsigned kSpanMemberShift = 48;
 
 /**
  * Everything the recording helpers resolve per execution stream: a
- * trace ring, a metrics registry (shared or private), and the ambient
- * span. One per shard / fleet member; the hub owns the main one.
+ * trace ring, a private metrics registry, and the ambient span. One
+ * per fleet member; the hub owns the main one.
  */
 struct ExecContext
 {
-    /** Context recording into @p registry (shared-registry shards). */
-    ExecContext(Interner &interner, MetricsRegistry *registry,
-                std::uint32_t shard = 0,
+    ExecContext(Interner &interner, std::uint32_t member,
                 std::size_t traceCapacity = TraceRecorder::kDefaultCapacity)
-        : trace(interner, traceCapacity), metrics(registry), shard(shard)
+        : trace(interner, traceCapacity)
     {
-        trace.seedSpanIds(SpanId(shard) << kSpanShardShift);
-    }
-
-    /** Context with a private registry (isolated fleet members). */
-    ExecContext(Interner &interner, std::uint32_t shard,
-                std::size_t traceCapacity = TraceRecorder::kDefaultCapacity)
-        : trace(interner, traceCapacity),
-          owned(std::make_unique<MetricsRegistry>()), metrics(owned.get()),
-          shard(shard)
-    {
-        trace.seedSpanIds(SpanId(shard) << kSpanShardShift);
+        trace.seedSpanIds(SpanId(member) << kSpanMemberShift);
     }
 
     ExecContext(const ExecContext &) = delete;
     ExecContext &operator=(const ExecContext &) = delete;
 
     TraceRecorder trace;
-    std::unique_ptr<MetricsRegistry> owned;
-    MetricsRegistry *metrics;
+    MetricsRegistry metrics;
     SpanId current = kNoSpan;
-    std::uint32_t shard = 0;
 };
 
 class Hub
@@ -91,7 +72,7 @@ class Hub
 
     Interner &interner() { return interner_; }
 
-    /** The main-thread/classic context (also the merge destination). */
+    /** The main-thread/classic context. */
     ExecContext &main() { return main_; }
 
     /** The context installed on this thread (the main one by default). */
@@ -105,7 +86,7 @@ class Hub
      *  process registry. Routing-sensitive code should go through the
      *  free helpers trace()/metrics() instead. */
     TraceRecorder &trace() { return main_.trace; }
-    MetricsRegistry &metrics() { return metrics_; }
+    MetricsRegistry &metrics() { return main_.metrics; }
 
     /** Ambient span for synchronously-triggered work (kNoSpan if none). */
     SpanId currentCtx() const { return current().current; }
@@ -146,10 +127,9 @@ class Hub
     };
 
   private:
-    Hub() : main_(interner_, &metrics_, 0) {}
+    Hub() : main_(interner_, 0) {}
 
     Interner interner_;
-    MetricsRegistry metrics_;
     ExecContext main_;
 };
 
@@ -174,17 +154,8 @@ inline Hub &hub() { return Hub::instance(); }
 inline Interner &interner() { return hub().interner(); }
 inline ExecContext &currentExec() { return Hub::current(); }
 inline TraceRecorder &trace() { return Hub::current().trace; }
-inline MetricsRegistry &metrics() { return *Hub::current().metrics; }
+inline MetricsRegistry &metrics() { return Hub::current().metrics; }
 inline SpanId currentCtx() { return Hub::current().current; }
-
-/**
- * Deterministically merge the held records of @p count shard contexts
- * into @p dst, ordered by (t0, shard, per-shard push order) — a total
- * order that depends only on the shard topology, never on the thread
- * count. Sources are cleared (their sequence numbers stay monotone).
- */
-void mergeShardTraces(TraceRecorder &dst, ExecContext *const *shards,
-                      std::size_t count);
 
 /**
  * Register the event kernel's pool/scheduler gauges under

@@ -8,8 +8,8 @@
  * by string_view build no temporary std::string either.
  *
  * The interner is the one obs structure deliberately shared across
- * shards and fleet members (ids must agree so merged trace records
- * decode uniformly), so it is mutex-guarded. Interning happens at
+ * fleet members (ids must agree so every member's trace records decode
+ * uniformly), so it is mutex-guarded. Interning happens at
  * component construction, never on the per-event hot path, so the lock
  * is cold; label() returns a reference to node-stable storage that
  * outlives the lock.

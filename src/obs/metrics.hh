@@ -116,11 +116,9 @@ class MetricsRegistry
 
     /**
      * Guards the registration map, NOT the referenced stats: fleet
-     * members register concurrently into private registries, and shard
-     * components (all built on the main thread) may be snapshotted
-     * while deregistering in tests. Counters/Distributions stay
-     * unsynchronized — each belongs to exactly one shard and is only
-     * read at quiesced points.
+     * members register concurrently into private registries.
+     * Counters/Distributions stay unsynchronized — each belongs to
+     * exactly one device and is only read at quiesced points.
      */
     mutable std::mutex mu_;
     std::map<std::string, Entry, std::less<>> entries_;

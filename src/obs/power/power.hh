@@ -15,9 +15,8 @@
  * exact integer arithmetic (fJ = mW × ticks) and average power over a
  * window is the exact integer division fJ / ticks = mW. A uint64_t
  * femtojoule counter holds ~18.4 kJ, far beyond any simulated run.
- * Integer addition is associative and commutative, so per-shard charge
- * streams merged at epoch barriers produce byte-identical totals at
- * any worker-thread count.
+ * Integer addition is associative and commutative, so totals do not
+ * depend on the order charges arrive in.
  *
  * Conservation invariant (checked by the auditor's Power rule): the
  * model's rail total equals the sum of every live meter's active
@@ -167,7 +166,8 @@ class PowerModel
      * Like grandTotalFj() but with live meters' idle integrated to the
      * caller-supplied wall tick instead of each meter's own queue time.
      * Deltas of this at workload boundaries give per-phase energy that
-     * is independent of where shard clocks happened to park.
+     * is independent of where each meter's queue clock happened to
+     * park.
      */
     std::uint64_t grandTotalFjAt(Tick wall) const;
 
@@ -237,7 +237,7 @@ modelOf(PowerModel *p)
 /**
  * One power rail: a component's per-state energy accumulators plus its
  * standby floor. At most four named state slots; charges are relaxed
- * atomics because the DRAM meter is shared by every channel shard
+ * atomics, and the DRAM meter is shared by every channel of a device
  * (each counter's final value is the same sum in any order).
  *
  * Idle energy is derived lazily — `(now − Σ active ticks) × idleMw` —
@@ -356,9 +356,9 @@ class Meter
 /**
  * Rolling-window power-budget governor — the thermal-throttle actuator.
  * One per channel controller, fed by that channel's meters (LUNs, bus,
- * controller CPU), all of which live on the channel's shard: its state
- * advances in deterministic simulated-time order, so throttle windows
- * land identically at any worker-thread count.
+ * controller CPU), all of which live on the device's event queue: its
+ * state advances in deterministic simulated-time order, so throttle
+ * windows land identically on every rerun.
  *
  * The window is tracked in 16 coarse buckets; when the energy observed
  * over the trailing window exceeds cap × window, the governor opens a

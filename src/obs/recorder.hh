@@ -83,9 +83,9 @@ class TraceRecorder
     SpanId nextSpanId() { return ++lastSpan_; }
 
     /**
-     * Start minting span ids from @p base + 1 — each shard context
-     * seeds its recorder with the shard index in the top bits so ids
-     * are process-unique and reproducible at any thread count.
+     * Start minting span ids from @p base + 1 — each fleet member's
+     * context seeds its recorder with the member index in the top bits
+     * so ids are process-unique and reproducible at any thread count.
      */
     void seedSpanIds(SpanId base) { lastSpan_ = base; }
 

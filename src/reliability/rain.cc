@@ -343,8 +343,11 @@ RainManager::doRelease(std::uint32_t chip, std::uint32_t block,
     // erase can never deadlock behind a write and frees every page it
     // promises. A doomed parity page folds back to DRAM and the
     // stripe queues a parity rewrite.
+    // The step holds itself only weakly (a strong self-capture is a
+    // cycle that never frees); whoever invokes it holds it strongly.
     auto step = std::make_shared<std::function<void()>>();
-    *step = [this, st, step] {
+    *step = [this, st, self = std::weak_ptr(step)] {
+        const auto step = self.lock();
         if (st->i >= st->doomed.size()) {
             obs::trace().endSpan(st->span, curTick());
             st->proceed();
@@ -463,8 +466,11 @@ RainManager::rebuildUnit(
     }
 
     const std::uint64_t addr = ftl_.reliabilityScratchAddr(slot);
+    // Weak self-capture, as in doRelease.
     auto step = std::make_shared<std::function<void()>>();
-    *step = [this, st, step, addr, done = std::move(done)] {
+    *step = [this, st, self = std::weak_ptr(step), addr,
+             done = std::move(done)] {
+        const auto step = self.lock();
         if (st->i >= st->sources.size()) {
             done(true, std::move(st->acc));
             return;

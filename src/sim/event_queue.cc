@@ -149,13 +149,6 @@ EventQueue::peekLive()
     }
 }
 
-Tick
-EventQueue::nextEventTime()
-{
-    const Entry *top = peekLive();
-    return top ? top->when : kMaxTick;
-}
-
 bool
 EventQueue::step()
 {

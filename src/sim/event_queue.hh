@@ -144,15 +144,6 @@ class EventQueue
     /** Fire at most one event. @return true if an event fired. */
     bool step();
 
-    /**
-     * Firing time of the earliest runnable event, or kMaxTick when the
-     * queue is drained. Non-const because the peek may lazily skim
-     * cancelled residue off the merge heaps; it never advances time.
-     * The sharded engine uses this to compute the conservative window
-     * bound across shards.
-     */
-    Tick nextEventTime();
-
     /** Total number of events ever scheduled (for stats/tests). */
     std::uint64_t scheduledCount() const { return scheduledCount_; }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Fleet mode: N fully independent simulated devices x M workload
- * streams in one process — the embarrassingly parallel tier of the
- * two-tier engine (the other tier being the channel-sharded
- * ParallelEngine).
+ * streams in one process — the simulator's only parallel tier. Each
+ * device runs on its own classic EventQueue; parallelism comes from
+ * running many devices at once, never from splitting one.
  *
  * Members are assigned to OS threads by the fixed mapping
  * member m -> thread (m mod T), and every member on a thread runs

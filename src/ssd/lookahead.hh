@@ -1,22 +1,18 @@
 /**
  * @file
- * The modeled interconnect latency between the host complex (HIC / FTL)
- * and a channel controller, which doubles as the conservative lookahead
- * L of the sharded engine.
+ * The modeled interconnect hop between the host complex (HIC / FTL)
+ * and a channel controller.
  *
  * In the paper's Fig. 1 the FTL talks to the per-channel storage
  * controllers over an on-chip interconnect; the cheapest thing that can
  * cross it is a command handoff, which on the flash side costs at least
  * chip-enable setup plus a command/address cycle pair plus tWB before
- * anything observable happens on the channel. We charge that floor as
- * the dispatch hop in BOTH engines — the classic single-queue Ssd
- * schedules the hop on its shared queue, the sharded engine rides it
- * through a shard link — so the two simulate the *same* device and a
- * one-thread sharded run reproduces the classic results.
+ * anything observable happens on the channel. Ssd charges that floor
+ * on both edges of every request: the dispatch to the channel and the
+ * completion back to the host.
  *
  * The floor is clamped from below at 50 ns so a degenerate timing
- * preset (all zeros) still yields a usable window; a larger L only adds
- * modeled latency, it never breaks conservativeness.
+ * preset (all zeros) still yields a nonzero hop.
  */
 
 #ifndef BABOL_SSD_LOOKAHEAD_HH
@@ -31,7 +27,7 @@ namespace babol::ssd {
 
 /** Minimum host<->channel hop in ticks for @p t (>= 50 ns). */
 inline Tick
-interconnectLookahead(const nand::TimingParams &t)
+interconnectHop(const nand::TimingParams &t)
 {
     const Tick floor = 50 * ticks::perNs;
     const Tick hop = t.tCs + 2 * t.tCmdCycleDdr + t.tWb;

@@ -17,7 +17,7 @@ Ssd::Ssd(EventQueue &eq, const std::string &name, SsdConfig cfg)
         faultsOwned_ = std::make_unique<fault::FaultEngine>();
         cfg_.channel.package.faults = faultsOwned_.get();
     }
-    lookahead_ = interconnectLookahead(cfg_.channel.package.timing);
+    hop_ = interconnectHop(cfg_.channel.package.timing);
 
     dram_ = std::make_unique<dram::DramBuffer>(
         eq, name + ".dram", cfg_.dramBytes, 1600.0, 200 * ticks::perNs,
@@ -83,16 +83,14 @@ Ssd::submit(core::FlashRequest req)
     req.chip = req.chip % ways;
 
     // Model the host<->channel interconnect: dispatch and completion
-    // each pay the hop L. Charging it here rather than inside the
-    // controller keeps this engine cycle-compatible with ShardedSsd,
-    // whose shard links carry the same L as their lookahead.
+    // each pay the hop.
     if (req.onComplete) {
         auto cb = std::move(req.onComplete);
         req.onComplete = [this, cb = std::move(cb)](core::OpResult r) {
-            scheduleIn(lookahead_, [cb, r] { cb(r); }, "ssd.complete");
+            scheduleIn(hop_, [cb, r] { cb(r); }, "ssd.complete");
         };
     }
-    scheduleIn(lookahead_,
+    scheduleIn(hop_,
                [this, channel, req = std::move(req)]() mutable {
                    controllers_[channel]->submit(std::move(req));
                },

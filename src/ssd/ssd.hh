@@ -60,10 +60,6 @@ class Ssd : public SimObject, public core::FlashBackend
         return fault::engineOf(cfg_.channel.package.faults);
     }
 
-    /** The modeled host<->channel interconnect hop charged on dispatch
-     *  and completion (ssd/lookahead.hh). */
-    Tick lookahead() const { return lookahead_; }
-
     // --- FlashBackend ---
     void submit(core::FlashRequest req) override;
     std::uint32_t backendChipCount() const override
@@ -94,7 +90,8 @@ class Ssd : public SimObject, public core::FlashBackend
     /** Owned engine when the config wired none (destroyed last). */
     std::unique_ptr<fault::FaultEngine> faultsOwned_;
 
-    Tick lookahead_ = 0;
+    /** Host<->channel interconnect hop (ssd/lookahead.hh). */
+    Tick hop_ = 0;
     std::unique_ptr<dram::DramBuffer> dram_;
     std::vector<std::unique_ptr<core::ChannelSystem>> systems_;
     std::vector<std::unique_ptr<core::ChannelController>> controllers_;

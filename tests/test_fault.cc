@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/coro/coro_controller.hh"
 #include "core/hw/hw_controller.hh"
 #include "core/rtos_env/rtos_controller.hh"
@@ -78,6 +80,48 @@ TEST(FaultPlan, MalformedInputPanicsWithLineNumbers)
     EXPECT_THROW(fault::parsePlan("fault bitburst block=9-2"), SimPanic);
     EXPECT_THROW(fault::parsePlan("seed"), SimPanic);
     EXPECT_THROW(fault::parsePlan("gibberish line"), SimPanic);
+}
+
+TEST(FaultPlan, SignedJunkAndOutOfRangeNumbersPanicInsteadOfWrapping)
+{
+    // Each bad value sits on line 2, behind a valid line 1, so the
+    // panic must name the line rather than wrap to a small number.
+    for (const char *bad : {
+             "fault bitburst nth=4294967298",
+             "fault bitburst nth=-1",
+             "fault bitburst nth=+3",
+             "fault bitburst nth=7x",
+             "fault bitburst bits=4294967297",
+             "fault stuckbusy extra_us=-5",
+             "fault drift suppress_us=99999999999",
+             "fault progfail block=1-4294967296",
+             "fault progfail block=2-3-4",
+             "fault progfail page=-1",
+             "seed -1",
+             "seed 18446744073709551616",
+             "seed 12abc",
+         }) {
+        try {
+            fault::parsePlan(std::string("seed 7\n") + bad);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const SimPanic &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << bad << ": " << e.what();
+        }
+    }
+
+    // The largest values that fit still round-trip exactly.
+    fault::FaultPlan plan = fault::parsePlan(
+        "seed 18446744073709551615\n"
+        "fault stuckbusy nth=4294967295 block=0-4294967295 "
+        "extra_us=4294967295\n");
+    EXPECT_EQ(plan.seed, ~0ull);
+    ASSERT_EQ(plan.faults.size(), 1u);
+    EXPECT_EQ(plan.faults[0].nth, ~0u);
+    EXPECT_EQ(plan.faults[0].blockLo, 0u);
+    EXPECT_EQ(plan.faults[0].blockHi, ~0u);
+    EXPECT_EQ(plan.faults[0].extraBusy, Tick(4294967295) * ticks::perUs);
 }
 
 // ---------------------------------------------------------------------

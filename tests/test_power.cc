@@ -2,9 +2,8 @@
  * @file
  * Per-state power/energy accounting: exact integer fJ arithmetic,
  * inert disabled meters, per-component rails on a real channel
- * workload, the conservation invariant under a fault campaign,
- * byte-identical energy counters and Perfetto power rails at 1/2/4
- * worker threads, and reproducible power-governor throttle windows.
+ * workload, the conservation invariant under a fault campaign, and
+ * reproducible power-governor throttle windows.
  *
  * Runs in its own binary: the power model and the auditor are
  * process-wide singletons and meters latch the enabled flag at
@@ -14,11 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/coro/coro_controller.hh"
@@ -27,10 +23,7 @@
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
 #include "obs/audit/auditor.hh"
-#include "obs/hub.hh"
 #include "obs/power/power.hh"
-#include "ssd/sharded_ssd.hh"
-#include "ssd/ssd.hh"
 
 using namespace babol;
 using namespace babol::core;
@@ -270,136 +263,6 @@ TEST(PowerConservation, HoldsUnderAFaultCampaign)
     EXPECT_TRUE(pm.conservationOk(&detail)) << detail;
     EXPECT_EQ(pm.railTotalFj(), pm.retiredFj());
     fault::engine().disarm();
-}
-
-// ---------------------------------------------------------------------
-// Sharded determinism: energy totals, power metrics and Perfetto
-// counter rails are byte-identical at 1/2/4 worker threads
-// ---------------------------------------------------------------------
-
-/** Counter-track samples only (track, t0, value). */
-using CounterDigest =
-    std::vector<std::tuple<std::uint32_t, Tick, std::uint64_t>>;
-
-struct PowerDigest
-{
-    std::uint64_t railTotalFj = 0;
-    std::uint64_t grandTotalFj = 0;
-    CounterDigest counters;
-    std::string powerJson;
-};
-
-PowerDigest
-runShardedPowerFig12(std::uint32_t threads)
-{
-    obs::hub().reset();
-    obs::hub().trace().seedSpanIds(obs::kNoSpan);
-    obs::hub().trace().setEnabled(true);
-    obs::hub().trace().clear();
-
-    obs::power::PowerModel pm;
-    pm.enable();
-
-    PowerDigest d;
-    {
-        ssd::SsdConfig cfg;
-        cfg.channels = 4;
-        cfg.flavor = "coro";
-        cfg.channel.package = nand::hynixPackage();
-        cfg.channel.package.power = &pm;
-        cfg.channel.package.geometry.pagesPerBlock = 8;
-        cfg.channel.package.geometry.blocksPerPlane = 16;
-        cfg.channel.chips = 2;
-        cfg.channel.seed = 7;
-        ssd::ShardedSsd dev("ssd", cfg);
-
-        ftl::FtlConfig fcfg;
-        fcfg.blocksPerChip = 8;
-        fcfg.overprovision = 0.25;
-        ftl::PageFtl ftl(dev.hostQueue(), "ftl", dev, fcfg);
-
-        host::FioConfig fill_cfg;
-        fill_cfg.queueDepth = 4;
-        host::FioEngine filler(dev.hostQueue(), "fill", ftl, fill_cfg);
-        bool filled = false;
-        filler.fill(32, [&] { filled = true; });
-        dev.run(threads);
-        EXPECT_TRUE(filled);
-
-        host::FioConfig io;
-        io.pattern = host::FioConfig::Pattern::Random;
-        io.queueDepth = 8;
-        io.extentPages = 32;
-        io.totalIos = 64;
-        io.seed = 99;
-        io.dramBase = 8 << 20;
-        host::FioEngine engine(dev.hostQueue(), "fio", ftl, io);
-        bool done = false;
-        engine.start([&] { done = true; });
-        dev.run(threads);
-        EXPECT_TRUE(done);
-        EXPECT_EQ(engine.errors(), 0u);
-
-        d.railTotalFj = pm.railTotalFj();
-        d.grandTotalFj = pm.grandTotalFjAt(dev.hostQueue().now());
-
-        obs::hub().trace().forEach([&](std::uint64_t,
-                                       const obs::TraceRecord &rec) {
-            if (rec.kind == obs::RecKind::Counter)
-                d.counters.emplace_back(rec.track, rec.t0, rec.arg);
-        });
-
-        std::ostringstream os;
-        pm.writeJson(os);
-        d.powerJson = os.str();
-    }
-    obs::hub().reset();
-    return d;
-}
-
-TEST(PowerSharded, EnergyAndPowerRailsByteIdenticalAtOneTwoFourThreads)
-{
-    if (const char *dump = std::getenv("POWER_TEST_DUMP")) {
-        for (std::uint32_t t : {1u, 2u, 4u}) {
-            PowerDigest d = runShardedPowerFig12(t);
-            std::ofstream os(std::string(dump) + "." + std::to_string(t));
-            for (const auto &[track, t0, arg] : d.counters)
-                os << track << " " << t0 << " " << arg << "\n";
-        }
-    }
-    PowerDigest one = runShardedPowerFig12(1);
-    PowerDigest two = runShardedPowerFig12(2);
-    PowerDigest four = runShardedPowerFig12(4);
-
-    ASSERT_GT(one.railTotalFj, 0u);
-    EXPECT_EQ(one.railTotalFj, two.railTotalFj);
-    EXPECT_EQ(one.railTotalFj, four.railTotalFj);
-    EXPECT_EQ(one.grandTotalFj, two.grandTotalFj);
-    EXPECT_EQ(one.grandTotalFj, four.grandTotalFj);
-
-    ASSERT_GT(one.counters.size(), 100u) << "a real power-railed trace";
-    auto firstDiff = [](const CounterDigest &a, const CounterDigest &b) {
-        std::ostringstream os;
-        os << "sizes " << a.size() << " vs " << b.size();
-        for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-            if (a[i] != b[i]) {
-                os << "; first diff at " << i << ": (" << std::get<0>(a[i])
-                   << "," << std::get<1>(a[i]) << "," << std::get<2>(a[i])
-                   << ") vs (" << std::get<0>(b[i]) << ","
-                   << std::get<1>(b[i]) << "," << std::get<2>(b[i]) << ")";
-                break;
-            }
-        }
-        return os.str();
-    };
-    EXPECT_EQ(one.counters, two.counters) << firstDiff(one.counters,
-                                                       two.counters);
-    EXPECT_EQ(one.counters, four.counters) << firstDiff(one.counters,
-                                                        four.counters);
-
-    ASSERT_FALSE(one.powerJson.empty());
-    EXPECT_EQ(one.powerJson, two.powerJson);
-    EXPECT_EQ(one.powerJson, four.powerJson);
 }
 
 // ---------------------------------------------------------------------
