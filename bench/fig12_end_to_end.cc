@@ -18,7 +18,7 @@
 #include "host/fio.hh"
 #include "host/nvme/client.hh"
 #include "obs/cli.hh"
-#include "obs/power/power.hh"
+#include "obs/sim_context.hh"
 #include "ssd/ssd.hh"
 
 using namespace babol;
@@ -80,7 +80,7 @@ runSsd(const std::string &flavor, std::uint32_t ways, bool random_pattern)
     cfg_io.dramBase = 8 << 20;
     cfg_io.seed = 99;
     host::FioEngine engine(eq, "fio", ftl, cfg_io);
-    auto &pm = obs::power::PowerModel::instance();
+    auto &pm = eq.context().power;
     const std::uint64_t e0 = pm.grandTotalFjAt(eq.now());
     bool done = false;
     engine.start([&] { done = true; });
@@ -158,7 +158,7 @@ runNvme(const std::string &flavor, std::uint32_t channels,
     tcfg.dramBase = 8 << 20;
     tcfg.lbaSpan = extent * hic.sectorsPerPage();
     host::nvme::TenantClient client(eq, "fig12", fe, reg, tcfg);
-    auto &pm = obs::power::PowerModel::instance();
+    auto &pm = eq.context().power;
     const Tick start = eq.now();
     const std::uint64_t e0 = pm.grandTotalFjAt(start);
     bool done = false;
@@ -203,7 +203,7 @@ runDirect(const std::string &flavor, std::uint32_t channels,
     cfg_io.dramBase = 8 << 20;
     cfg_io.seed = 99;
     host::FioEngine engine(eq, "fio", ftl, cfg_io);
-    auto &pm = obs::power::PowerModel::instance();
+    auto &pm = eq.context().power;
     const std::uint64_t e0 = pm.grandTotalFjAt(eq.now());
     bool done = false;
     engine.start([&] { done = true; });
@@ -236,7 +236,7 @@ main(int argc, char **argv)
     // Energy accounting is part of this figure's output (J/IO per
     // flavour), so the power model is always on here. Enabled before
     // any device is built — meters latch the flag at construction.
-    obs::power::PowerModel::instance().enable();
+    SimContext::processDefault().power.enable();
 
     if (qpairs > 0) {
         // Queued-front-end mode: random READ through N NVMe-style

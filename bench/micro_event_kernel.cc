@@ -55,8 +55,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "obs/hub.hh"
-#include "obs/power/power.hh"
+#include "obs/sim_context.hh"
 #include "sim/event_queue.hh"
 
 // ---------------------------------------------------------------------
@@ -203,9 +202,9 @@ struct Driver
             // Interned up front, as components do in their ctors.
             track_ = babol::obs::interner().intern("bench");
             label_ = babol::obs::interner().intern("op.step");
-            // A meter against the (disabled) process power model, the
+            // A meter against the queue's (disabled) power model, the
             // way every timed component owns one.
-            meter_.emplace(nullptr, eq_, "bench.lun",
+            meter_.emplace(eq_, "bench.lun",
                            std::initializer_list<const char *>{"busy"}, 1);
         }
     }
@@ -225,11 +224,11 @@ struct Driver
             // The guards an instrumented component takes per operation:
             // an enabled check + early return on the begin and end
             // paths (recording stays off for this phase).
-            auto &tr = babol::obs::trace();
+            auto &tr = eq_.context().trace;
             babol::obs::SpanId span = babol::obs::kNoSpan;
             if (tr.enabled()) {
                 span = tr.beginSpan(track_, label_, eq_.now(),
-                                    babol::obs::currentCtx(),
+                                    eq_.context().current,
                                     static_cast<std::uint64_t>(i));
             }
             tr.endSpan(span, eq_.now());
@@ -333,8 +332,8 @@ double
 runJPerIo(const std::string &flavor)
 {
     using namespace babol;
-    auto &pm = obs::power::PowerModel::instance();
     EventQueue eq;
+    auto &pm = eq.context().power;
     bench::ChannelConfig cfg;
     cfg.chips = 4;
     bench::ChannelSystem sys(eq, "pwr", cfg);
@@ -394,7 +393,6 @@ main(int argc, char **argv)
         kernelRuns[r] = runKernel(eq, warmup, measured);
         stats = eq.poolStats();
 
-        babol::obs::hub().reset();
         babol::EventQueue eqObs;
         obsRuns[r] = runKernel<babol::EventQueue, true>(eqObs, warmup,
                                                         measured);
@@ -434,7 +432,7 @@ main(int argc, char **argv)
     // Energy reference points, AFTER every perf phase: meters latch the
     // model's enabled flag at construction, so enabling here leaves all
     // the timed phases above on the disabled hot path.
-    babol::obs::power::PowerModel::instance().enable();
+    babol::SimContext::processDefault().power.enable();
     const double jPerIoHw = runJPerIo("hw");
     const double jPerIoRtos = runJPerIo("rtos");
     const double jPerIoCoro = runJPerIo("coro");

@@ -26,6 +26,7 @@
 #include "host/hic.hh"
 #include "obs/cli.hh"
 #include "obs/perfetto.hh"
+#include "obs/sim_context.hh"
 #include "sim/random.hh"
 #include "ssd/ssd.hh"
 
@@ -71,7 +72,7 @@ main(int argc, char **argv)
                 hic.sectorBytes());
 
     if (!obs_opts.traceOut.empty())
-        obs::trace().setEnabled(true);
+        eq.context().trace.setEnabled(true);
 
     // A mixed host workload: large aligned writes, small misaligned
     // writes (RMW), and reads verifying every byte against an oracle.

@@ -28,10 +28,11 @@
  *
  * --fleet N switches to fleet mode: N fully independent mini-SSDs, each
  * running M random-read streams (--streams, default 1) after its fill,
- * spread over T OS threads (--threads, default 1). Every member gets a
- * private metrics registry, trace ring, fault engine, and a
- * deterministic per-member seed, so results are byte-identical at any
- * T; the per-member report and the fleet aggregate prove it.
+ * spread over T OS threads (--threads, default 1). Every member runs on
+ * its own SimContext (metrics registry, trace ring, auditor, power
+ * model, fault engine) with a deterministic per-member seed, so results
+ * are byte-identical at any T; the per-member report and the fleet
+ * aggregate prove it.
  *
  * --crash-at N cuts power after the Nth acknowledged host write of a
  * stamped-pattern workload, remounts a fresh controller stack over the
@@ -84,15 +85,13 @@
 #include "core/coro/coro_controller.hh"
 #include "core/hw/hw_controller.hh"
 #include "core/rtos_env/rtos_controller.hh"
-#include "fault/fault_engine.hh"
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
 #include "host/nvme/client.hh"
 #include "host/replay/replay.hh"
-#include "obs/audit/auditor.hh"
 #include "obs/cli.hh"
 #include "obs/perfetto.hh"
-#include "obs/power/power.hh"
+#include "obs/sim_context.hh"
 #include "reliability/rain.hh"
 #include "reliability/scrub.hh"
 #include "sim/fleet.hh"
@@ -138,23 +137,22 @@ makeController(EventQueue &eq, const std::string &flavor, ChannelSystem &sys,
     return nullptr;
 }
 
-/** One fleet member, built and run entirely inside the caller's scoped
- *  obs/audit contexts. */
+/** One fleet member, built and run entirely on the member's own
+ *  context. */
 MemberResult
-runMember(const std::string &flavor, const fault::FaultPlan *plan,
-          std::uint64_t seed, std::uint32_t streams)
+runMember(SimContext &ctx, const std::string &flavor,
+          const fault::FaultPlan *plan, std::uint64_t seed,
+          std::uint32_t streams)
 {
-    fault::FaultEngine faults;
     if (plan)
-        faults.arm(*plan);
+        ctx.faults.arm(*plan);
 
-    EventQueue eq;
+    EventQueue eq(ctx);
     ChannelConfig cfg;
     cfg.package = nand::hynixPackage();
     cfg.chips = 8;
     cfg.rateMT = 200;
     cfg.seed = seed;
-    cfg.package.faults = &faults;
     ChannelSystem sys(eq, "ssd", cfg);
     auto ctrl = makeController(eq, flavor, sys, plan != nullptr);
 
@@ -192,7 +190,7 @@ runMember(const std::string &flavor, const fault::FaultPlan *plan,
         res.streams.push_back({engine.bandwidthMBps(), engine.iops(),
                                engine.latencyUs().percentile(99)});
     }
-    res.injected = faults.injectedTotal();
+    res.injected = ctx.faults.injectedTotal();
     return res;
 }
 
@@ -204,26 +202,24 @@ runFleet(const std::string &flavor, const fault::FaultPlan *plan,
                 "%s controller\n",
                 fleet, streams, threads, flavor.c_str());
 
+    // One context per member (registry, trace ring, span namespace,
+    // auditor, power model, fault engine), built here in member order.
+    const SimContext &parent = SimContext::processDefault();
     std::vector<MemberResult> results(fleet);
-    std::vector<std::unique_ptr<obs::ExecContext>> ctxs(fleet);
-    std::vector<std::unique_ptr<obs::audit::Auditor>> auditors(fleet);
+    std::vector<std::unique_ptr<SimContext>> ctxs(fleet);
     for (std::size_t m = 0; m < fleet; ++m) {
-        // Private registry + trace ring + span namespace per member.
-        ctxs[m] = std::make_unique<obs::ExecContext>(
-            obs::interner(), static_cast<std::uint32_t>(m));
-        auditors[m] = obs::audit::Auditor::makeShard(
-            obs::audit::Auditor::instance());
+        ctxs[m] = std::make_unique<SimContext>(
+            parent, static_cast<std::uint32_t>(m));
     }
 
     sim::FleetEngine::run(fleet, threads, [&](std::size_t m) {
-        obs::ScopedExecContext obsCtx(ctxs[m].get());
-        obs::audit::ScopedAuditor audCtx(auditors[m].get());
-        results[m] = runMember(
-            flavor, plan, sim::FleetEngine::memberSeed(1, m), streams);
+        results[m] = runMember(*ctxs[m], flavor, plan,
+                               sim::FleetEngine::memberSeed(1, m), streams);
     });
 
     double sumIops = 0, sumMBps = 0, worstP99 = 0;
     std::uint64_t injected = 0;
+    std::size_t bad = 0;
     for (std::size_t m = 0; m < fleet; ++m) {
         const MemberResult &r = results[m];
         for (const StreamResult &s : r.streams) {
@@ -234,7 +230,7 @@ runFleet(const std::string &flavor, const fault::FaultPlan *plan,
             worstP99 = std::max(worstP99, s.p99us);
         }
         injected += r.injected;
-        obs::audit::Auditor::instance().absorb(*auditors[m]);
+        bad += ctxs[m]->audit.unsuppressedCount();
     }
     std::printf("fleet aggregate: %.1f MB/s, %.0f IOPS, worst p99 %.0f us",
                 sumMBps, sumIops, worstP99);
@@ -243,8 +239,6 @@ runFleet(const std::string &flavor, const fault::FaultPlan *plan,
                     static_cast<unsigned long long>(injected));
     std::printf("\n");
 
-    const std::size_t bad =
-        obs::audit::Auditor::instance().unsuppressedCount();
     if (bad) {
         std::printf("fleet audit: %zu diagnostic(s)\n", bad);
         return 1;
@@ -304,8 +298,8 @@ runNvme(const std::string &flavor, std::uint32_t qpairs,
     eq.run();
     if (!filled)
         fatal("fill did not complete");
-    if (obs::trace().enabled())
-        obs::trace().clear();
+    if (eq.context().trace.enabled())
+        eq.context().trace.clear();
 
     // --- Phase 1: trace replay ---
     if (!replay_path.empty()) {
@@ -601,7 +595,7 @@ verifyRecovery(CrashWorld &w, const CrashLedger &led, bool expect_exact)
         }
     };
     auto violation = [&](const std::string &msg) {
-        obs::audit::Auditor::instance().report(
+        w.eq.context().audit.report(
             obs::audit::Check::Recovery, "recovery.conservation",
             "ssd.ftl", w.eq.now(), msg);
         std::printf("RECOVERY VIOLATION: %s\n", msg.c_str());
@@ -711,7 +705,8 @@ runCrashCampaign(const std::string &flavor,
             fatal("cannot write %s", crash_out.c_str());
     }
 
-    auto &pm = obs::power::PowerModel::instance();
+    SimContext &ctx = SimContext::processDefault();
+    auto &pm = ctx.power;
     std::uint64_t violations = 0;
 
     auto one_cycle = [&](std::uint64_t crash_at) {
@@ -727,7 +722,7 @@ runCrashCampaign(const std::string &flavor,
                       static_cast<unsigned long long>(crash_at),
                       static_cast<unsigned long long>(led.acked));
             cut_at = wa->eq.now();
-            fault::engine().notePowerCut("ssd", cut_at);
+            ctx.faults.notePowerCut("ssd", cut_at);
             for (std::uint32_t c = 0; c < wa->ctrl->backendChipCount();
                  ++c) {
                 wa->sys.lun(c).powerCut();
@@ -750,8 +745,8 @@ runCrashCampaign(const std::string &flavor,
         // Drop the old world's records: its torn spans would otherwise
         // trip the auditor's conservation pass, and a power cut tearing
         // them open is exactly the expected outcome here.
-        if (obs::trace().enabled())
-            obs::trace().clear();
+        if (ctx.trace.enabled())
+            ctx.trace.clear();
 
         const std::uint64_t e0 =
             pm.enabled() ? pm.grandTotalFjAt(wb->eq.now()) : 0;
@@ -799,8 +794,8 @@ runCrashCampaign(const std::string &flavor,
     if (clean_remount || points.empty())
         one_cycle(0);
 
-    if (fault::engine().armed())
-        std::printf("\n%s\n", fault::engine().summary().c_str());
+    if (ctx.faults.armed())
+        std::printf("\n%s\n", ctx.faults.summary().c_str());
 
     int status = obs_opts.finalize();
     if (violations) {
@@ -970,12 +965,13 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
     cfg.maxReadRetries = 4;
     EventQueue eq;
     ssd::Ssd dev(eq, "ssd", cfg);
+    fault::FaultEngine &faults = eq.context().faults;
 
     // The engine must be armed (even with an empty plan) for the
     // harness failDie/failBlock calls and the media-decay hooks.
     fault::FaultPlan plan;
     plan.seed = 77;
-    dev.faults().arm(plan);
+    faults.arm(plan);
 
     // Sized so the device stays writable after losing a whole die:
     // half the logical space in use + one parity page per stripe must
@@ -1077,13 +1073,13 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
             ++led.acked;
             if (diefail_at && led.acked == diefail_at && !die_killed) {
                 die_killed = true;
-                dev.faults().failDie(dev.backendChipName(kill_chip), eq.now());
+                faults.failDie(dev.backendChipName(kill_chip), eq.now());
                 ftl.markChipDead(kill_chip);
             }
             if (blockfail_at && led.acked == blockfail_at &&
                 !block_killed) {
                 block_killed = true;
-                dev.faults().failBlock(dev.backendChipName(blockfail_chip),
+                faults.failBlock(dev.backendChipName(blockfail_chip),
                                        1, 1, eq.now());
             }
             issue(slot);
@@ -1217,7 +1213,7 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
         out << line << "\n";
     }
 
-    std::printf("\n%s\n", dev.faults().summary().c_str());
+    std::printf("\n%s\n", faults.summary().c_str());
     obs_opts.captureMetrics(eq);
     int status = obs_opts.finalize();
 
@@ -1392,7 +1388,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(cplan.seed),
                         crash_plan_path.c_str());
         }
-        fault::engine().arm(cplan);
+        SimContext::processDefault().faults.arm(cplan);
         return runCrashCampaign(flavor, crash_points, clean_remount,
                                 crash_out, cplan.seed, obs_opts);
     }
@@ -1412,19 +1408,19 @@ main(int argc, char **argv)
         return runFleet(flavor, have_plan ? &plan : nullptr, fleet,
                         streams, threads);
 
-    // --- Classic single-device run (the device arms the process-default
-    // engine: no device object owns one here) ---
-    if (have_plan)
-        fault::engine().arm(plan);
-
+    // --- Classic single-device run ---
     EventQueue eq;
+    SimContext &ctx = eq.context();
+    if (have_plan)
+        ctx.faults.arm(plan);
+
     ChannelConfig cfg;
     cfg.package = nand::hynixPackage();
     cfg.chips = 8;
     cfg.rateMT = 200;
     ChannelSystem sys(eq, "ssd", cfg);
 
-    auto ctrl = makeController(eq, flavor, sys, fault::engine().armed());
+    auto ctrl = makeController(eq, flavor, sys, ctx.faults.armed());
 
     ftl::FtlConfig fcfg;
     fcfg.blocksPerChip = 4;
@@ -1455,10 +1451,10 @@ main(int argc, char **argv)
     // Trace only the measured READ phases; the fill's records would
     // just push them out of the ring (and defeat the auditor's
     // conservation pass, which needs an unwrapped window).
-    if (obs::trace().enabled())
-        obs::trace().clear();
+    if (ctx.trace.enabled())
+        ctx.trace.clear();
 
-    auto &pm = obs::power::PowerModel::instance();
+    auto &pm = ctx.power;
     for (bool random_pattern : {false, true}) {
         host::FioConfig io;
         io.pattern = random_pattern ? host::FioConfig::Pattern::Random
@@ -1491,8 +1487,8 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    if (fault::engine().armed())
-        std::printf("\n%s\n", fault::engine().summary().c_str());
+    if (ctx.faults.armed())
+        std::printf("\n%s\n", ctx.faults.summary().c_str());
 
     obs_opts.captureMetrics(eq);
     int status = obs_opts.finalize();

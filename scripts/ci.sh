@@ -8,15 +8,16 @@
 #
 # The TSan pass (-DBABOL_TSAN=ON) covers fleet mode, the only
 # multi-threaded path: the tier-1 suite (including babol_fleet_tests)
-# plus a fleet run on 4 worker threads, so what the members share (the
-# label interner, the process auditor they clone) runs under the race
-# detector.
+# plus fleet runs on 4 worker threads — one of them a fault campaign
+# with the auditor armed — so what the members share (the label
+# interner, and the parent context each member's own context copies
+# its audit and power settings from) runs under the race detector.
 #
 # Stages (all run when no flag is given; CI runs them as separate jobs):
 #   --plain-only   configure/build/ctest, default flags
 #   --asan-only    configure/build/ctest with ASan + UBSan
-#   --tsan-only    configure/build/ctest with TSan + a fleet run on 4
-#                  threads
+#   --tsan-only    configure/build/ctest with TSan + fleet runs on 4
+#                  threads (plain, and with faults + audit)
 #   --audit-only   BABOL_AUDIT=1 sanitizer sweep + fault campaigns and
 #                  power-capped runs on every controller flavour, plus
 #                  the queued front end and the wear-bounded lifetime
@@ -79,6 +80,10 @@ stage_tsan() {
     echo "=== tier-1: TSan fleet (4 threads) ==="
     "$ROOT/build-tsan/examples/ssd_fio" coro --fleet 8 --streams 2 \
         --threads 4 >/dev/null
+    echo "=== tier-1: TSan fleet with member faults + auditors ==="
+    "$ROOT/build-tsan/examples/ssd_fio" coro --fleet 8 --streams 2 \
+        --threads 4 --faults "$ROOT/examples/fault_plan.txt" --audit \
+        >/dev/null
 }
 
 # ONFI conformance audit: the whole suite and the figure benches run

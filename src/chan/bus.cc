@@ -2,17 +2,17 @@
 
 #include <memory>
 
-#include "obs/audit/auditor.hh"
+#include "obs/sim_context.hh"
 
 namespace babol::chan {
 
 ChannelBus::ChannelBus(EventQueue &eq, const std::string &name,
                        const nand::TimingParams &timing,
-                       std::uint32_t rate_mt,
-                       obs::power::PowerModel *power)
-    : SimObject(eq, name), phy_(timing, rate_mt), trace_(name),
-      power_(power, eq, name, {"cmd", "xfer"},
-             obs::power::modelOf(power).params().busIdleMw)
+                       std::uint32_t rate_mt)
+    : SimObject(eq, name), phy_(timing, rate_mt),
+      trace_(eq.context().trace, name),
+      power_(eq, name, {"cmd", "xfer"},
+             eq.context().power.params().busIdleMw)
 {}
 
 std::uint32_t
@@ -103,7 +103,7 @@ ChannelBus::checkModeMatch(std::uint32_t ce_mask) const
 void
 ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
 {
-    auto &aud = obs::audit::auditor();
+    auto &aud = eq_.context().audit;
     const bool auditing = aud.armed();
 
     if (busy()) {
@@ -164,7 +164,7 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
                 offset += phy_.commandCycle();
                 latchTicks += phy_.commandCycle();
                 eq_.schedule(start + offset, [this, mask, cmd, ctx] {
-                    obs::Hub::ScopedCtx scope(ctx);
+                    obs::Hub::ScopedCtx scope(eq_.context(), ctx);
                     for (nand::Package *pkg : selected(mask))
                         pkg->commandLatch(cmd);
                 }, "cmd latch");
@@ -183,7 +183,7 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
                 offset += phy_.addressCycle();
                 latchTicks += phy_.addressCycle();
                 eq_.schedule(start + offset, [this, mask, byte, ctx] {
-                    obs::Hub::ScopedCtx scope(ctx);
+                    obs::Hub::ScopedCtx scope(eq_.context(), ctx);
                     for (nand::Package *pkg : selected(mask))
                         pkg->addressLatch(byte);
                 }, "addr latch");
@@ -210,7 +210,7 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
             }, "data-in mode check");
             eq_.schedule(burst_start + dur,
                          [this, mask, bytes, burst_start, ctx] {
-                obs::Hub::ScopedCtx scope(ctx);
+                obs::Hub::ScopedCtx scope(eq_.context(), ctx);
                 for (nand::Package *pkg : selected(mask))
                     pkg->dataIn(*bytes, burst_start);
             }, "data-in burst");
@@ -234,11 +234,11 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
             const std::uint32_t count = item.inCount;
             eq_.schedule(burst_start, [this, mask, result, count,
                                        burst_start, ctx] {
-                obs::Hub::ScopedCtx scope(ctx);
+                obs::Hub::ScopedCtx scope(eq_.context(), ctx);
                 checkModeMatch(mask);
                 std::vector<nand::Package *> pkgs = selected(mask);
                 if (pkgs.size() != 1) {
-                    auto &a = obs::audit::auditor();
+                    auto &a = eq_.context().audit;
                     if (a.armed()) {
                         a.report(obs::audit::Check::Channel,
                                  "chan.ce-overlap", name(), curTick(),

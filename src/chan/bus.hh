@@ -30,11 +30,9 @@ class ChannelBus : public SimObject
     /**
      * @param rate_mt channel transfer rate in MT/s (100 or 200 in the
      *                paper's experiments)
-     * @param power   power model to charge (nullptr = process default)
      */
     ChannelBus(EventQueue &eq, const std::string &name,
-               const nand::TimingParams &timing, std::uint32_t rate_mt,
-               obs::power::PowerModel *power = nullptr);
+               const nand::TimingParams &timing, std::uint32_t rate_mt);
 
     /** Attach a package; its CE line is bit `index` of segment masks. */
     std::uint32_t attach(nand::Package *pkg);

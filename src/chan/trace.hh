@@ -7,7 +7,7 @@
  * picosecond resolution. Harnesses query the trace to measure polling
  * periods and detection delays, and can render a human-readable timeline.
  *
- * Recording goes through the process-wide obs ring buffer: labels are
+ * Recording goes through the simulation's obs ring buffer: labels are
  * interned (no heap allocation per segment after a label's first
  * appearance) and each BusTrace is one *track* in the ring, identified
  * by its channel name. Query APIs (find/periodsOf/...) materialize
@@ -39,21 +39,22 @@ struct TraceEvent
 class BusTrace
 {
   public:
-    BusTrace() : BusTrace("bus") {}
-
-    /** @param channel_name names this trace's track in the obs ring. */
-    explicit BusTrace(std::string_view channel_name)
-        : track_(obs::interner().intern(channel_name)),
-          sinceSeq_(obs::trace().nextSeq())
+    /**
+     * A view over @p rec (the bus's simulation ring); @p channel_name
+     * names this trace's track in it.
+     */
+    BusTrace(obs::TraceRecorder &rec, std::string_view channel_name)
+        : rec_(rec), track_(obs::interner().intern(channel_name)),
+          sinceSeq_(rec.nextSeq())
     {}
 
     /**
      * Start/stop recording this bus (off by default; recording costs
      * memory). Segments are also captured — regardless of this switch —
-     * whenever whole-simulator tracing (obs::trace()) is enabled.
+     * whenever whole-simulation tracing (the ring itself) is enabled.
      */
     void setEnabled(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_ || rec().enabled(); }
+    bool enabled() const { return enabled_ || rec_.enabled(); }
 
     /**
      * Span id for a segment about to run, so bus callbacks can adopt
@@ -63,7 +64,7 @@ class BusTrace
     obs::SpanId
     reserveSpan()
     {
-        return enabled() ? rec().nextSpanId() : obs::kNoSpan;
+        return enabled() ? rec_.nextSpanId() : obs::kNoSpan;
     }
 
     /**
@@ -79,7 +80,7 @@ class BusTrace
     {
         if (!enabled())
             return obs::kNoSpan;
-        obs::TraceRecorder &r = rec();
+        obs::TraceRecorder &r = rec_;
         obs::TraceRecord record;
         record.kind = obs::RecKind::Complete;
         record.t0 = start;
@@ -107,7 +108,7 @@ class BusTrace
 
     /** Forget this trace's past records (the ring itself is shared and
      *  keeps running; we just move our watermark). */
-    void clear() { sinceSeq_ = rec().nextSeq(); }
+    void clear() { sinceSeq_ = rec_.nextSeq(); }
 
     /** Events whose label contains @p needle. */
     std::vector<TraceEvent> find(const std::string &needle) const;
@@ -134,21 +135,12 @@ class BusTrace
                   const std::string &channel_name = "channel") const;
 
   private:
-    /**
-     * The ambient execution context's recorder, resolved per call —
-     * never cached. On a fleet worker this is the member's own ring;
-     * caching the constructor-time recorder would make a channel built
-     * before its member's context was installed push into the main
-     * ring from a worker thread.
-     */
-    obs::TraceRecorder &rec() const { return obs::trace(); }
-
     /** Visit this instance's Complete records, oldest first. */
     template <typename F>
     void
     forEachMine(F &&fn) const
     {
-        rec().forEach([&](std::uint64_t seq, const obs::TraceRecord &r) {
+        rec_.forEach([&](std::uint64_t seq, const obs::TraceRecord &r) {
             if (seq >= sinceSeq_ && r.track == track_ &&
                 r.kind == obs::RecKind::Complete) {
                 fn(r);
@@ -156,6 +148,7 @@ class BusTrace
         });
     }
 
+    obs::TraceRecorder &rec_;
     std::uint32_t track_;
     std::uint64_t sinceSeq_; //!< ring records before this are not ours
     bool enabled_ = false;

@@ -26,15 +26,14 @@ ChannelSystem::ChannelSystem(EventQueue &eq, const std::string &name,
     } else {
         dramOwned_ = std::make_unique<dram::DramBuffer>(
             eq, name + ".dram", cfg_.dramBytes, 1600.0,
-            200 * ticks::perNs, cfg_.package.power);
+            200 * ticks::perNs);
         dram_ = dramOwned_.get();
     }
     packetizer_ = std::make_unique<Packetizer>(eq, name + ".pktz", *dram_,
                                                ecc_);
     bus_ = std::make_unique<chan::ChannelBus>(eq, name + ".bus",
                                               cfg_.package.timing,
-                                              cfg_.rateMT,
-                                              cfg_.package.power);
+                                              cfg_.rateMT);
 
     for (std::uint32_t i = 0; i < cfg_.chips; ++i) {
         auto pkg = std::make_unique<nand::Package>(

@@ -16,7 +16,6 @@
 #include "dram/dram.hh"
 #include "ecc.hh"
 #include "exec_unit.hh"
-#include "fault/fault_engine.hh"
 #include "nand/package.hh"
 #include "packetizer.hh"
 
@@ -72,14 +71,6 @@ class ChannelSystem
 
     std::uint32_t chipCount() const { return cfg_.chips; }
     nand::Package &package(std::uint32_t chip) { return *packages_[chip]; }
-
-    /** The fault engine wired for this device (see
-     *  PackageConfig::faults; the process default when none). */
-    fault::FaultEngine &
-    faults() const
-    {
-        return fault::engineOf(cfg_.package.faults);
-    }
 
     /** LUN 0 of chip @p chip (the experiments use single-LUN packages). */
     nand::Lun &lun(std::uint32_t chip) { return packages_[chip]->lun(0); }

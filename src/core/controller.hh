@@ -13,9 +13,7 @@
 
 #include "channel_system.hh"
 #include "flash_backend.hh"
-#include "obs/audit/auditor.hh"
-#include "obs/hub.hh"
-#include "obs/power/power.hh"
+#include "obs/sim_context.hh"
 #include "op_request.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -43,7 +41,7 @@ class ChannelController : public SimObject, public FlashBackend
           latencyUs_("op latency (us)"),
           obsTrack_(obs::interner().intern(name)),
           chipSpan_(sys.chipCount(), obs::kNoSpan),
-          metrics_(obs::metrics(), name)
+          metrics_(eq.context().metrics, name)
     {
         for (int k = 0; k < kOpKinds; ++k) {
             opLabel_[k] = obs::interner().intern(
@@ -67,10 +65,10 @@ class ChannelController : public SimObject, public FlashBackend
         // by its bus and LUN rails (the channel-local meters, so
         // channels stay independent); submit() holds requests back
         // while it throttles.
-        auto &pm = obs::power::modelOf(sys.config().package.power);
+        auto &pm = eq.context().power;
         if (pm.enabled() && pm.governorConfig().capMw > 0) {
             gov_ = std::make_unique<obs::power::PowerGovernor>(
-                eq, name + ".gov", pm);
+                eq, name + ".gov");
             gov_->setOnRelease([this] { drainDeferred(); });
             governMeter(sys_.bus().powerMeter());
             for (std::uint32_t c = 0; c < sys_.bus().packageCount(); ++c) {
@@ -130,15 +128,14 @@ class ChannelController : public SimObject, public FlashBackend
         return sys_.config().package.geometry;
     }
     dram::DramBuffer &backendDram() override { return sys_.dram(); }
-    fault::FaultEngine &backendFaults() override { return sys_.faults(); }
+    fault::FaultEngine &backendFaults() override
+    {
+        return eq_.context().faults;
+    }
     std::string backendChipName(std::uint32_t chip) const override
     {
         return strfmt("%s.pkg%u", sys_.name().c_str(), chip);
     }
-
-    /** The device's fault engine (per-device when wired, else the
-     *  process default) — recovery reporting goes through this. */
-    fault::FaultEngine &faults() const { return sys_.faults(); }
 
     // --- Stats ---
     std::uint64_t opsCompleted() const { return opsCompleted_; }
@@ -175,7 +172,7 @@ class ChannelController : public SimObject, public FlashBackend
     {
         if (req.submitTick == 0)
             req.submitTick = curTick();
-        auto &aud = obs::audit::auditor();
+        auto &aud = eq_.context().audit;
         if (aud.armed() && gov_ && gov_->throttled(curTick())) {
             // submit() defers while throttled, so reaching here mid-
             // window means some path bypassed the gate.
@@ -185,7 +182,7 @@ class ChannelController : public SimObject, public FlashBackend
                               "window (chip %u, %s)",
                               req.chip, toString(req.kind)));
         }
-        auto &tr = obs::trace();
+        auto &tr = eq_.context().trace;
         if (tr.enabled()) {
             req.ctx.span = tr.beginSpan(
                 obsTrack_, opLabel_[static_cast<int>(req.kind)],
@@ -235,7 +232,7 @@ class ChannelController : public SimObject, public FlashBackend
     finishOp(const FlashRequest &req, OpResult result)
     {
         result.doneTick = curTick();
-        obs::trace().endSpan(req.ctx.span, result.doneTick);
+        eq_.context().trace.endSpan(req.ctx.span, result.doneTick);
         if (req.chip < chipSpan_.size() &&
             chipSpan_[req.chip] == req.ctx.span) {
             chipSpan_[req.chip] = obs::kNoSpan;

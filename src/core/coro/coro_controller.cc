@@ -7,7 +7,7 @@ CoroController::CoroController(EventQueue &eq, const std::string &name,
                                SoftControllerConfig cfg)
     : ChannelController(eq, name, sys),
       cfg_(cfg),
-      cpu_(eq, name + ".cpu", cfg.cpuMhz, sys.config().package.power),
+      cpu_(eq, name + ".cpu", cfg.cpuMhz),
       rt_(eq, name + ".rt", cpu_, sys.exec(),
           makeTxnScheduler(cfg.txnPolicy), SoftwareCosts::coroutine()),
       tasks_(makeTaskScheduler(cfg.taskPolicy)),

@@ -1,7 +1,7 @@
 #include "ops.hh"
 
-#include "fault/fault_engine.hh"
 #include "nand/onfi.hh"
+#include "obs/sim_context.hh"
 
 namespace babol::core {
 
@@ -65,8 +65,8 @@ pollReadyOp(OpEnv &env, std::uint32_t chip, std::uint8_t mask,
         Tick elapsed = env.rt.curTick() - start;
         if (elapsed > budget) {
             out.timedOut = true;
-            env.sys.faults().noteTimeout(strfmt("coro.%s c%u", what, chip),
-                                        env.rt.curTick());
+            env.sys.eventQueue().context().faults.noteTimeout(
+                strfmt("coro.%s c%u", what, chip), env.rt.curTick());
             co_return out;
         }
         if (elapsed > expected) {
@@ -398,8 +398,8 @@ readWithRetryOp(OpEnv &env, FlashRequest req, std::uint32_t max_retries)
     std::uint32_t level = 0;
     while (!res.ok && !res.timedOut && res.retries < max_retries) {
         ++level;
-        env.sys.faults().noteRetryStep(strfmt("coro c%u", req.chip), level,
-                                      env.rt.curTick());
+        env.sys.eventQueue().context().faults.noteRetryStep(
+            strfmt("coro c%u", req.chip), level, env.rt.curTick());
         co_await setFeaturesOp(env, req.chip, feature::kVendorReadRetry,
                                {static_cast<std::uint8_t>(level), 0, 0, 0});
         std::uint32_t retries = res.retries + 1;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/audit/auditor.hh"
+#include "obs/sim_context.hh"
 
 namespace babol::core {
 
@@ -41,7 +41,7 @@ ExecUnit::tryIssue()
     fifo_.pop_front();
     Transaction txn = std::move(pending.txn);
 
-    auto &aud = obs::audit::auditor();
+    auto &aud = eq_.context().audit;
     if (aud.armed()) {
         aud.tapFifoWait(name(), txn.label, curTick(),
                         curTick() - pending.enqueuedAt);

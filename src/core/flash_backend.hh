@@ -48,14 +48,9 @@ class FlashBackend
         return {};
     }
 
-    /** The device's fault engine — the FTL reports remaps through the
-     *  same per-device engine the NAND hooks consult. Defaults to the
-     *  process-wide engine for back-ends that predate per-device
-     *  injection. */
-    virtual fault::FaultEngine &backendFaults()
-    {
-        return fault::FaultEngine::instance();
-    }
+    /** The device's fault engine (its queue's context's) — the FTL
+     *  reports remaps through the same engine the NAND hooks consult. */
+    virtual fault::FaultEngine &backendFaults() = 0;
 };
 
 } // namespace babol::core

@@ -173,7 +173,7 @@ HwReadFsm::step()
                 // Retry-capable RTL: step the vendor retry level and
                 // re-run the whole read waveform.
                 ++retries_;
-                ctrl_.faults().noteRetryStep(
+                ctrl_.backendFaults().noteRetryStep(
                     strfmt("hw c%u", req_.chip), retries_,
                     ctrl_.curTick());
                 state_ = State::IssueRetryFeatures;

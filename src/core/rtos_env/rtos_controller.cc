@@ -7,7 +7,7 @@ RtosController::RtosController(EventQueue &eq, const std::string &name,
                                SoftControllerConfig cfg)
     : ChannelController(eq, name, sys),
       cfg_(cfg),
-      cpu_(eq, name + ".cpu", cfg.cpuMhz, sys.config().package.power),
+      cpu_(eq, name + ".cpu", cfg.cpuMhz),
       kernel_(eq, name + ".kernel", cpu_),
       rt_(eq, name + ".rt", cpu_, sys.exec(),
           makeTxnScheduler(cfg.txnPolicy), SoftwareCosts::rtos()),

@@ -69,7 +69,7 @@ RtosOpBase::repollOrTimeout(const char *what)
     const Tick elapsed = ctrl_.curTick() - pollStart_;
     const Tick budget = pollExpected_ * 2 + kPollGrace;
     if (elapsed > budget) {
-        ctrl_.faults().noteTimeout(
+        ctrl_.backendFaults().noteTimeout(
             strfmt("rtos.%s c%u", what, req_.chip), ctrl_.curTick());
         res_.timedOut = true;
         return true;
@@ -187,7 +187,7 @@ RtosReadOp::onMessage(cpu::RtosKernel &kernel, std::uint64_t msg)
             // Read-retry escalation: step the vendor retry level via
             // SET FEATURES and re-issue the read.
             ++retries_;
-            ctrl_.faults().noteRetryStep(
+            ctrl_.backendFaults().noteRetryStep(
                 strfmt("rtos c%u", req_.chip), retries_, ctrl_.curTick());
             Transaction feat(req_.chip,
                              strfmt("SET_FEATURES c%u a%02x", req_.chip,

@@ -24,7 +24,7 @@
 #include <deque>
 #include <functional>
 
-#include "obs/power/power.hh"
+#include "obs/sim_context.hh"
 #include "sim/sim_object.hh"
 
 namespace babol::cpu {
@@ -37,16 +37,13 @@ enum class CpuPriority : std::uint8_t {
 class CpuModel : public SimObject
 {
   public:
-    CpuModel(EventQueue &eq, const std::string &name, std::uint32_t mhz,
-             obs::power::PowerModel *power = nullptr)
+    CpuModel(EventQueue &eq, const std::string &name, std::uint32_t mhz)
         : SimObject(eq, name), mhz_(mhz),
-          power_(power, eq, name, {"busy"},
+          power_(eq, name, {"busy"},
                  static_cast<std::uint64_t>(mhz) *
-                     obs::power::modelOf(power).params().cpuIdleUwPerMhz /
-                     1000),
+                     eq.context().power.params().cpuIdleUwPerMhz / 1000),
           activeMw_(static_cast<std::uint64_t>(mhz) *
-                    obs::power::modelOf(power).params().cpuActiveUwPerMhz /
-                    1000)
+                    eq.context().power.params().cpuActiveUwPerMhz / 1000)
     {
         babol_assert(mhz > 0, "CPU frequency must be positive");
     }

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 
+#include "obs/sim_context.hh"
+
 namespace babol::dram {
 
 DramBuffer::DramBuffer(EventQueue &eq, const std::string &name,
                        std::uint64_t bytes, double bandwidth_mbps,
-                       Tick setup_latency,
-                       obs::power::PowerModel *power)
+                       Tick setup_latency)
     : SimObject(eq, name),
       mem_(bytes, 0),
       bandwidthMBps_(bandwidth_mbps),
       setupLatency_(setup_latency),
-      power_(power, eq, name, {"rd", "wr"},
-             obs::power::modelOf(power).params().dramStandbyMw)
+      power_(eq, name, {"rd", "wr"},
+             eq.context().power.params().dramStandbyMw)
 {}
 
 void
@@ -30,7 +31,7 @@ DramBuffer::write(std::uint64_t addr, std::span<const std::uint8_t> data)
 {
     checkRange(addr, data.size());
     std::copy(data.begin(), data.end(), mem_.begin() + addr);
-    bytesWritten_.fetch_add(data.size(), std::memory_order_relaxed);
+    bytesWritten_ += data.size();
     if (power_.enabled()) {
         const Tick t0 = curTick();
         const std::uint64_t fj = data.size() *
@@ -46,7 +47,7 @@ DramBuffer::read(std::uint64_t addr, std::span<std::uint8_t> out) const
     checkRange(addr, out.size());
     std::copy(mem_.begin() + addr, mem_.begin() + addr + out.size(),
               out.begin());
-    bytesRead_.fetch_add(out.size(), std::memory_order_relaxed);
+    bytesRead_ += out.size();
     if (power_.enabled()) {
         const Tick t0 = curTick();
         const std::uint64_t fj = out.size() *

@@ -13,7 +13,6 @@
 #ifndef BABOL_DRAM_DRAM_HH
 #define BABOL_DRAM_DRAM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -30,13 +29,10 @@ class DramBuffer : public SimObject
      * @param bytes          capacity of the staging area
      * @param bandwidth_mbps sustained DMA bandwidth in MB/s
      * @param setup_latency  per-descriptor DMA setup time
-     * @param power          power model to charge (nullptr = process
-     *                       default)
      */
     DramBuffer(EventQueue &eq, const std::string &name, std::uint64_t bytes,
                double bandwidth_mbps = 1600.0,
-               Tick setup_latency = 200 * ticks::perNs,
-               obs::power::PowerModel *power = nullptr);
+               Tick setup_latency = 200 * ticks::perNs);
 
     std::uint64_t size() const { return mem_.size(); }
 
@@ -50,14 +46,8 @@ class DramBuffer : public SimObject
     /** Time a DMA of @p bytes occupies the DRAM port. */
     Tick transferTime(std::uint64_t bytes) const;
 
-    std::uint64_t bytesWritten() const
-    {
-        return bytesWritten_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t bytesRead() const
-    {
-        return bytesRead_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t bytesWritten() const { return bytesWritten_; }
+    std::uint64_t bytesRead() const { return bytesRead_; }
 
     /** The row-activity power rail (per-byte access + standby). */
     obs::power::Meter &powerMeter() { return power_; }
@@ -69,15 +59,9 @@ class DramBuffer : public SimObject
     double bandwidthMBps_;
     Tick setupLatency_;
 
-    /** The staging DRAM is shared by every channel of a device; the
-     *  accounting is relaxed-atomic. The byte array itself needs no
-     *  locking: disjoint staging regions per op. */
-    mutable std::atomic<std::uint64_t> bytesWritten_{0};
-    mutable std::atomic<std::uint64_t> bytesRead_{0};
-
-    /** Like the byte counters, the meter takes charges from every
-     *  channel touching the shared staging buffer; its accumulators are
-     *  relaxed atomics, so the totals stay order-independent. */
+    /** read() is const but still counts and charges the access. */
+    mutable std::uint64_t bytesWritten_ = 0;
+    mutable std::uint64_t bytesRead_ = 0;
     mutable obs::power::Meter power_;
 };
 

@@ -2,22 +2,14 @@
 
 #include <algorithm>
 
-#include "obs/hub.hh"
 #include "sim/logging.hh"
 
 namespace babol::fault {
 
-FaultEngine &
-FaultEngine::instance()
-{
-    static FaultEngine engine;
-    return engine;
-}
-
-FaultEngine::FaultEngine()
-    : faultMetrics_(obs::metrics(), "fault"),
-      retryMetrics_(obs::metrics(), "retry"),
-      remapMetrics_(obs::metrics(), "remap")
+FaultEngine::FaultEngine(obs::ExecContext &exec)
+    : exec_(exec), faultMetrics_(exec.metrics, "fault"),
+      retryMetrics_(exec.metrics, "retry"),
+      remapMetrics_(exec.metrics, "remap")
 {
     faultMetrics_.value("injected", [this] { return injected_; });
     for (FaultKind k : {FaultKind::BitBurst, FaultKind::ProgFail,
@@ -41,7 +33,6 @@ FaultEngine::FaultEngine()
 void
 FaultEngine::arm(FaultPlan plan)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     plan_ = std::move(plan);
     state_.assign(plan_.faults.size(), SpecState{});
     rng_ = Rng(plan_.seed);
@@ -60,7 +51,6 @@ FaultEngine::arm(FaultPlan plan)
 void
 FaultEngine::disarm()
 {
-    std::lock_guard<std::mutex> lk(mu_);
     armed_ = false;
     plan_ = FaultPlan{};
     state_.clear();
@@ -119,8 +109,8 @@ FaultEngine::recordInjection(const FaultSpec &spec, std::string_view lun,
     append(now, strfmt("inject %s %.*s %s", toString(spec.kind),
                        static_cast<int>(lun.size()), lun.data(),
                        detail.c_str()));
-    obs::trace().instant(obsTrack_, lblInject_, now, obs::currentCtx(),
-                         static_cast<std::uint64_t>(spec.kind));
+    exec_.trace.instant(obsTrack_, lblInject_, now, exec_.current,
+                        static_cast<std::uint64_t>(spec.kind));
 }
 
 std::uint32_t
@@ -130,7 +120,6 @@ FaultEngine::onRead(std::string_view lun, std::uint32_t block,
 {
     if (!armed())
         return 0;
-    std::lock_guard<std::mutex> lk(mu_);
     std::uint32_t flips = 0;
     for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
         const FaultSpec &spec = plan_.faults[i];
@@ -172,9 +161,8 @@ FaultEngine::onRead(std::string_view lun, std::uint32_t block,
                     append(now, strfmt("recover drift %.*s rl=%u",
                                        static_cast<int>(lun.size()),
                                        lun.data(), retry_level));
-                    obs::trace().instant(obsTrack_, lblRecover_, now,
-                                         obs::currentCtx(),
-                                         retry_level);
+                    exec_.trace.instant(obsTrack_, lblRecover_, now,
+                                        exec_.current, retry_level);
                 } else {
                     flips += spec.bits;
                 }
@@ -193,7 +181,6 @@ FaultEngine::onProgram(std::string_view lun, std::uint32_t block,
 {
     if (!armed())
         return false;
-    std::lock_guard<std::mutex> lk(mu_);
     bool fail = false;
     for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
         const FaultSpec &spec = plan_.faults[i];
@@ -218,7 +205,7 @@ FaultEngine::onProgram(std::string_view lun, std::uint32_t block,
             }
         }
     }
-    return fail || deadAtLocked(lun, block);
+    return fail || deadAt(lun, block);
 }
 
 bool
@@ -226,7 +213,6 @@ FaultEngine::onErase(std::string_view lun, std::uint32_t block, Tick now)
 {
     if (!armed())
         return false;
-    std::lock_guard<std::mutex> lk(mu_);
     bool fail = false;
     for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
         const FaultSpec &spec = plan_.faults[i];
@@ -249,11 +235,11 @@ FaultEngine::onErase(std::string_view lun, std::uint32_t block, Tick now)
             }
         }
     }
-    return fail || deadAtLocked(lun, block);
+    return fail || deadAt(lun, block);
 }
 
 bool
-FaultEngine::deadAtLocked(std::string_view lun, std::uint32_t block) const
+FaultEngine::deadAt(std::string_view lun, std::uint32_t block) const
 {
     for (const DeadRegion &r : deadRegions_) {
         if (!r.where.empty() &&
@@ -267,20 +253,10 @@ FaultEngine::deadAtLocked(std::string_view lun, std::uint32_t block) const
 }
 
 bool
-FaultEngine::deadAt(std::string_view lun, std::uint32_t block) const
-{
-    if (!armed())
-        return false;
-    std::lock_guard<std::mutex> lk(mu_);
-    return deadAtLocked(lun, block);
-}
-
-bool
 FaultEngine::dieDead(std::string_view lun) const
 {
     if (!armed())
         return false;
-    std::lock_guard<std::mutex> lk(mu_);
     for (const DeadRegion &r : deadRegions_) {
         if (!r.where.empty() &&
             lun.find(r.where) == std::string_view::npos) {
@@ -297,14 +273,13 @@ FaultEngine::failDie(std::string_view where, Tick now)
 {
     babol_assert(armed(), "failDie needs an armed engine (arm a plan, "
                           "even an empty one, first)");
-    std::lock_guard<std::mutex> lk(mu_);
     deadRegions_.push_back({std::string(where), 0, ~0u});
     ++injected_;
     ++injectedKind_[static_cast<std::size_t>(FaultKind::DieFail)];
     append(now, strfmt("inject diefail %.*s",
                        static_cast<int>(where.size()), where.data()));
-    obs::trace().instant(obsTrack_, lblInject_, now, obs::currentCtx(),
-                         static_cast<std::uint64_t>(FaultKind::DieFail));
+    exec_.trace.instant(obsTrack_, lblInject_, now, exec_.current,
+                        static_cast<std::uint64_t>(FaultKind::DieFail));
 }
 
 void
@@ -312,15 +287,14 @@ FaultEngine::failBlock(std::string_view where, std::uint32_t block_lo,
                        std::uint32_t block_hi, Tick now)
 {
     babol_assert(armed(), "failBlock needs an armed engine");
-    std::lock_guard<std::mutex> lk(mu_);
     deadRegions_.push_back({std::string(where), block_lo, block_hi});
     ++injected_;
     ++injectedKind_[static_cast<std::size_t>(FaultKind::BlockFail)];
     append(now, strfmt("inject blockfail %.*s b%u-%u",
                        static_cast<int>(where.size()), where.data(),
                        block_lo, block_hi));
-    obs::trace().instant(obsTrack_, lblInject_, now, obs::currentCtx(),
-                         static_cast<std::uint64_t>(FaultKind::BlockFail));
+    exec_.trace.instant(obsTrack_, lblInject_, now, exec_.current,
+                        static_cast<std::uint64_t>(FaultKind::BlockFail));
 }
 
 Tick
@@ -329,7 +303,6 @@ FaultEngine::onArrayOp(std::string_view lun, OpClass op, Tick duration,
 {
     if (!armed() || op == OpClass::Other)
         return 0;
-    std::lock_guard<std::mutex> lk(mu_);
     Tick extra = 0;
     for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
         const FaultSpec &spec = plan_.faults[i];
@@ -357,7 +330,6 @@ FaultEngine::suppresses(std::string_view lun, Tick now) const
 {
     if (!armed())
         return false;
-    std::lock_guard<std::mutex> lk(mu_);
     auto it = suppressUntil_.find(std::string(lun));
     if (it == suppressUntil_.end() || now > it->second)
         return false;
@@ -371,12 +343,11 @@ FaultEngine::noteRetryStep(std::string_view who, std::uint32_t level,
 {
     if (!armed())
         return;
-    std::lock_guard<std::mutex> lk(mu_);
     ++retrySteps_;
     append(now, strfmt("retry %.*s level=%u",
                        static_cast<int>(who.size()), who.data(), level));
-    obs::trace().instant(obsTrack_, lblRecover_, now, obs::currentCtx(),
-                         level);
+    exec_.trace.instant(obsTrack_, lblRecover_, now, exec_.current,
+                        level);
 }
 
 void
@@ -385,13 +356,12 @@ FaultEngine::noteRemap(std::string_view who, std::uint32_t chip,
 {
     if (!armed())
         return;
-    std::lock_guard<std::mutex> lk(mu_);
     ++remaps_;
     append(now, strfmt("remap %.*s chip=%u block=%u",
                        static_cast<int>(who.size()), who.data(), chip,
                        block));
-    obs::trace().instant(obsTrack_, lblRecover_, now, obs::currentCtx(),
-                         block);
+    exec_.trace.instant(obsTrack_, lblRecover_, now, exec_.current,
+                        block);
 }
 
 void
@@ -399,7 +369,6 @@ FaultEngine::noteTimeout(std::string_view who, Tick now)
 {
     if (!armed())
         return;
-    std::lock_guard<std::mutex> lk(mu_);
     ++timeouts_;
     append(now, strfmt("timeout %.*s", static_cast<int>(who.size()),
                        who.data()));
@@ -410,13 +379,12 @@ FaultEngine::notePowerCut(std::string_view who, Tick now)
 {
     if (!armed())
         return;
-    std::lock_guard<std::mutex> lk(mu_);
     ++injected_;
     ++injectedKind_[static_cast<std::size_t>(FaultKind::PowerCut)];
     append(now, strfmt("inject powercut %.*s",
                        static_cast<int>(who.size()), who.data()));
-    obs::trace().instant(obsTrack_, lblInject_, now, obs::currentCtx(),
-                         static_cast<std::uint64_t>(FaultKind::PowerCut));
+    exec_.trace.instant(obsTrack_, lblInject_, now, exec_.current,
+                        static_cast<std::uint64_t>(FaultKind::PowerCut));
 }
 
 std::string

@@ -10,18 +10,10 @@
  * because every recovery path is itself deterministic, the same
  * recovery trace.
  *
- * The engine used to be a process singleton; it is now a regular
- * object wired to a device through PackageConfig::faults (resolved via
- * engineOf()), which fixes cross-run bleed between back-to-back
- * in-process simulations and lets fleet members inject independently.
- * instance() survives as the process default for components with no
- * engine attached, so existing harnesses and tests keep working.
- *
- * Thread-safety: the armed flag is atomic and every armed hook takes a
- * mutex (disarmed hooks stay a single relaxed load), so an engine
- * shared across threads stays TSan-clean — but its strike/RNG ordering
- * would then follow wall-clock interleaving. Deterministic campaigns
- * give each device (each fleet member) its own engine.
+ * Each SimContext owns one engine and the NAND layer reaches it as
+ * eq.context().faults, so a plan armed in one simulation never strikes
+ * another, and fleet members inject independently. A context lives on
+ * one thread, so the engine is not synchronized.
  *
  * The engine also owns the cross-cutting recovery metrics the issue
  * calls out — `fault.injected`, `retry.steps`, `remap.count` — so the
@@ -29,23 +21,22 @@
  * place, and it keeps a line-per-event recovery log that the tests
  * compare across runs for byte-identical reproduction.
  *
- * Layering: babol_fault depends only on babol_sim and babol_obs, so
- * babol_nand (and transitively core/ftl) can link it without cycles.
+ * Layering: the engine builds into babol_obs (it depends only on the
+ * obs registry and trace ring), so babol_nand and everything above can
+ * use it without cycles.
  */
 
 #ifndef BABOL_FAULT_FAULT_ENGINE_HH
 #define BABOL_FAULT_FAULT_ENGINE_HH
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "fault_plan.hh"
-#include "obs/metrics.hh"
+#include "obs/hub.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
 
@@ -57,19 +48,16 @@ enum class OpClass : std::uint8_t { Read, Program, Erase, Other };
 class FaultEngine
 {
   public:
-    /** A detached per-device engine. Registers the fault/retry/remap
-     *  metrics groups in the *current* obs context's registry. */
-    FaultEngine();
-    ~FaultEngine() = default;
+    /** The engine of the context that owns @p exec: registers the
+     *  fault/retry/remap metrics groups in its registry and traces
+     *  injections into its ring. */
+    explicit FaultEngine(obs::ExecContext &exec);
 
     FaultEngine(const FaultEngine &) = delete;
     FaultEngine &operator=(const FaultEngine &) = delete;
 
-    /** Process-default engine for components with no engine wired. */
-    static FaultEngine &instance();
-
     /** Hot-path check: are hooks live? */
-    bool armed() const { return armed_.load(std::memory_order_relaxed); }
+    bool armed() const { return armed_; }
 
     /** Install @p plan, reset all runtime state, seed the RNG. */
     void arm(FaultPlan plan);
@@ -80,10 +68,6 @@ class FaultEngine
     /** Plan-seeded RNG: injected flip positions draw from here so the
      *  whole campaign is a pure function of (plan, seed). */
     Rng &rng() { return rng_; }
-
-    /** Serialize multi-field reads (log/summary) against armed hooks
-     *  when sampling a live multi-threaded run. */
-    std::mutex &mutex() const { return mu_; }
 
     // --- NAND-layer hooks (no-ops returning "no fault" when disarmed) --
 
@@ -195,14 +179,13 @@ class FaultEngine
     /** Occurrence bookkeeping: arm on nth, bound by count. */
     bool strike(const FaultSpec &spec, SpecState &st);
 
-    bool deadAtLocked(std::string_view lun, std::uint32_t block) const;
 
     void recordInjection(const FaultSpec &spec, std::string_view lun,
                          Tick now, const std::string &detail);
     void append(Tick now, const std::string &line);
 
-    std::atomic<bool> armed_{false};
-    mutable std::mutex mu_; //!< guards all mutable state below
+    obs::ExecContext &exec_;
+    bool armed_ = false;
     FaultPlan plan_;
     std::vector<SpecState> state_;
     Rng rng_;
@@ -229,15 +212,6 @@ class FaultEngine
     obs::MetricsGroup retryMetrics_;
     obs::MetricsGroup remapMetrics_;
 };
-
-inline FaultEngine &engine() { return FaultEngine::instance(); }
-
-/** The engine wired for a component (nullptr = the process default). */
-inline FaultEngine &
-engineOf(FaultEngine *e)
-{
-    return e ? *e : FaultEngine::instance();
-}
 
 } // namespace babol::fault
 

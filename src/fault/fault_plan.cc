@@ -1,14 +1,13 @@
 #include "fault_plan.hh"
 
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <string_view>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace babol::fault {
 
@@ -50,21 +49,6 @@ kindFromString(const std::string &s, int line_no)
     }
     panic("fault plan line %d: unknown fault kind '%s'", line_no,
           s.c_str());
-}
-
-/** An all-digit decimal no larger than @p max; nullopt otherwise (a
- *  sign, trailing junk, an empty string or an out-of-range value). */
-std::optional<std::uint64_t>
-parseDigits(std::string_view val, std::uint64_t max)
-{
-    // from_chars takes no sign, whitespace or base prefix for unsigned
-    // types, so only the full-length match needs checking.
-    std::uint64_t v = 0;
-    const char *end = val.data() + val.size();
-    auto [ptr, ec] = std::from_chars(val.data(), end, v);
-    if (ec != std::errc() || ptr != end || v > max)
-        return std::nullopt;
-    return v;
 }
 
 constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
@@ -126,7 +110,7 @@ parsePlan(const std::string &text)
             if (!(ls >> val))
                 panic("fault plan line %d: 'seed' needs a value", line_no);
             auto seed =
-                parseDigits(val, std::numeric_limits<std::uint64_t>::max());
+                parseDigits(val);
             if (!seed)
                 panic("fault plan line %d: bad seed value '%s'", line_no,
                       val.c_str());

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "fault/fault_engine.hh"
-#include "obs/audit/auditor.hh"
+#include "obs/sim_context.hh"
 
 namespace babol::ftl {
 
@@ -46,7 +45,7 @@ PageFtl::PageFtl(EventQueue &eq, const std::string &name,
       pageBytes_(backend.backendGeometry().pageDataBytes),
       pagesPerBlock_(backend.backendGeometry().pagesPerBlock),
       oobBytes_(backend.backendGeometry().pageOobBytes),
-      metrics_(obs::metrics(), name)
+      metrics_(eq.context().metrics, name)
 {
     obsTrack_ = obs::interner().intern(name);
     lblRead_ = obs::interner().intern("ftl.read");
@@ -248,8 +247,8 @@ PageFtl::mountScanNext(std::uint32_t chip)
     const std::uint64_t scratch =
         gcScratchAddr_ + static_cast<std::uint64_t>(chip) * pageBytes_;
 
-    const obs::SpanId span = obs::trace().beginSpan(
-        obsTrack_, lblMount_, curTick(), obs::currentCtx(), chip);
+    const obs::SpanId span = eq_.context().trace.beginSpan(
+        obsTrack_, lblMount_, curTick(), eq_.context().current, chip);
 
     FlashRequest req;
     req.kind = FlashOpKind::OobRead;
@@ -258,7 +257,7 @@ PageFtl::mountScanNext(std::uint32_t chip)
     req.dramAddr = scratch;
     req.ctx.span = span;
     req.onComplete = [this, chip, b, p, scratch, span](OpResult r) {
-        obs::trace().endSpan(span, r.doneTick);
+        eq_.context().trace.endSpan(span, r.doneTick);
         ++mountPagesScanned_;
         MountScan &ms = *mountScan_;
 
@@ -442,8 +441,8 @@ PageFtl::readPage(std::uint64_t lpn, std::uint64_t dram_addr, Callback cb)
     Ppa ppa = unpackPpa(map_[lpn]);
     ++chips_[ppa.chip].blocks[ppa.block].hostReads;
 
-    const obs::SpanId span = obs::trace().beginSpan(
-        obsTrack_, lblRead_, curTick(), obs::currentCtx(), lpn);
+    const obs::SpanId span = eq_.context().trace.beginSpan(
+        obsTrack_, lblRead_, curTick(), eq_.context().current, lpn);
 
     FlashRequest req;
     req.kind = FlashOpKind::Read;
@@ -457,7 +456,7 @@ PageFtl::readPage(std::uint64_t lpn, std::uint64_t dram_addr, Callback cb)
             // straight off a dead die — a dead region fails every
             // codeword by construction, so a success here means the
             // decay model and the fault model disagree.
-            auto &aud = obs::audit::auditor();
+            auto &aud = eq_.context().audit;
             if (aud.armed() && chipDead(ppa.chip)) {
                 aud.report(obs::audit::Check::Reliability,
                            "rain.dead-die-serve", name(), r.doneTick,
@@ -466,7 +465,7 @@ PageFtl::readPage(std::uint64_t lpn, std::uint64_t dram_addr, Callback cb)
                                   static_cast<unsigned long long>(lpn),
                                   ppa.chip));
             }
-            obs::trace().endSpan(span, r.doneTick);
+            eq_.context().trace.endSpan(span, r.doneTick);
             cb(true);
             return;
         }
@@ -479,13 +478,13 @@ PageFtl::readPage(std::uint64_t lpn, std::uint64_t dram_addr, Callback cb)
             onReadFailed(lpn, ppa, dram_addr, [this, cb, span](bool ok) {
                 if (!ok)
                     ++dataLoss_;
-                obs::trace().endSpan(span, curTick());
+                eq_.context().trace.endSpan(span, curTick());
                 cb(ok);
             });
             return;
         }
         ++dataLoss_;
-        obs::trace().endSpan(span, r.doneTick);
+        eq_.context().trace.endSpan(span, r.doneTick);
         cb(false);
     };
     backend_.submit(std::move(req));
@@ -506,8 +505,8 @@ PageFtl::writePage(std::uint64_t lpn, std::uint64_t dram_addr, Callback cb)
         bufferWrite(lpn, dram_addr, std::move(cb));
         return;
     }
-    const obs::SpanId span = obs::trace().beginSpan(
-        obsTrack_, lblWrite_, curTick(), obs::currentCtx(), lpn);
+    const obs::SpanId span = eq_.context().trace.beginSpan(
+        obsTrack_, lblWrite_, curTick(), eq_.context().current, lpn);
     allocateAndWrite(lpn, dram_addr, std::move(cb), 0, span);
 }
 
@@ -576,8 +575,8 @@ PageFtl::bufferWrite(std::uint64_t lpn, std::uint64_t dram_addr,
 
     // Every slot is pinned by an in-flight flush: write through. The
     // host sees the same contract (ack at program completion).
-    const obs::SpanId span = obs::trace().beginSpan(
-        obsTrack_, lblWrite_, curTick(), obs::currentCtx(), lpn);
+    const obs::SpanId span = eq_.context().trace.beginSpan(
+        obsTrack_, lblWrite_, curTick(), eq_.context().current, lpn);
     allocateAndWrite(lpn, dram_addr, std::move(cb), 0, span);
 }
 
@@ -591,8 +590,8 @@ PageFtl::flushBuffer()
         s.flushing = true;
         ++wbFlushes_;
         ++wbOutstanding_;
-        const obs::SpanId span = obs::trace().beginSpan(
-            obsTrack_, lblWrite_, curTick(), obs::currentCtx(), s.lpn);
+        const obs::SpanId span = eq_.context().trace.beginSpan(
+            obsTrack_, lblWrite_, curTick(), eq_.context().current, s.lpn);
         allocateAndWrite(s.lpn, slotAddr(i), [this, i](bool ok) {
             BufferSlot &slot = wbSlots_[i];
             std::vector<Callback> cbs = std::move(slot.cbs);
@@ -882,7 +881,7 @@ PageFtl::pumpWrites(std::uint32_t chip)
                     cs.writeQueue.erase(
                         cs.writeQueue.begin() +
                         static_cast<std::ptrdiff_t>(i));
-                    obs::trace().endSpan(dead.span, curTick());
+                    eq_.context().trace.endSpan(dead.span, curTick());
                     dead.cb(false);
                 }
                 return;
@@ -992,7 +991,7 @@ PageFtl::pumpWrites(std::uint32_t chip)
                     info.pageLpn[page] = kUnmapped;
                     --info.valid;
                 }
-                obs::trace().endSpan(write.span, r.doneTick);
+                eq_.context().trace.endSpan(write.span, r.doneTick);
                 write.cb(true);
             } else {
                 // Program failure: drop the reservation, retire the
@@ -1012,7 +1011,7 @@ PageFtl::pumpWrites(std::uint32_t chip)
                          name().c_str(),
                          static_cast<unsigned long long>(write.lpn),
                          write.retries + 1);
-                    obs::trace().endSpan(write.span, r.doneTick);
+                    eq_.context().trace.endSpan(write.span, r.doneTick);
                     write.cb(false);
                 } else {
                     // The retry keeps the original seq: it is the same

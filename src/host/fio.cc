@@ -1,5 +1,7 @@
 #include "fio.hh"
 
+#include "obs/sim_context.hh"
+
 namespace babol::host {
 
 FioEngine::FioEngine(EventQueue &eq, const std::string &name,
@@ -9,7 +11,7 @@ FioEngine::FioEngine(EventQueue &eq, const std::string &name,
       cfg_(cfg),
       rng_(cfg.seed),
       latencyUs_("io latency (us)"),
-      metrics_(obs::metrics(), name)
+      metrics_(eq.context().metrics, name)
 {
     obsTrack_ = obs::interner().intern(name);
     lblRead_ = obs::interner().intern("io.read");
@@ -70,12 +72,12 @@ FioEngine::issueNext(std::uint32_t slot)
 
     // Root span of this IO (fio drives the FTL directly, so it plays
     // the host's role in the span tree).
-    const obs::SpanId span = obs::trace().beginSpan(
+    const obs::SpanId span = eq_.context().trace.beginSpan(
         obsTrack_, cfg_.write ? lblWrite_ : lblRead_, begin,
-        obs::currentCtx(), lpn);
+        eq_.context().current, lpn);
 
     auto complete = [this, slot, begin, span](bool ok) {
-        obs::trace().endSpan(span, curTick());
+        eq_.context().trace.endSpan(span, curTick());
         --inFlight_;
         ++completed_;
         if (!ok)
@@ -92,7 +94,7 @@ FioEngine::issueNext(std::uint32_t slot)
         }
     };
 
-    obs::Hub::ScopedCtx ctx(span);
+    obs::Hub::ScopedCtx ctx(eq_.context(), span);
     if (cfg_.write)
         ftl_.writePage(lpn, buf, complete);
     else

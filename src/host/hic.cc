@@ -1,11 +1,13 @@
 #include "hic.hh"
 
+#include "obs/sim_context.hh"
+
 namespace babol::host {
 
 Hic::Hic(EventQueue &eq, const std::string &name, ftl::PageFtl &ftl,
          HicConfig cfg)
     : SimObject(eq, name), ftl_(ftl), cfg_(cfg),
-      metrics_(obs::metrics(), name)
+      metrics_(eq.context().metrics, name)
 {
     obsTrack_ = obs::interner().intern(name);
     lblRead_ = obs::interner().intern("io.read");
@@ -98,7 +100,7 @@ Hic::pieceDone(const std::shared_ptr<IoState> &state, bool ok)
             ++iosCompleted_;
         babol_assert(inFlight_ > 0, "in-flight window underflow");
         --inFlight_;
-        obs::trace().endSpan(state->span, curTick());
+        eq_.context().trace.endSpan(state->span, curTick());
         if (state->io.onComplete)
             state->io.onComplete(!state->failed);
     }
@@ -121,9 +123,9 @@ Hic::submit(HostIo io)
 
     auto state = std::make_shared<IoState>();
     state->io = std::move(io);
-    state->span = obs::trace().beginSpan(
+    state->span = eq_.context().trace.beginSpan(
         obsTrack_, state->io.write ? lblWrite_ : lblRead_, curTick(),
-        obs::currentCtx(), state->io.lba);
+        eq_.context().current, state->io.lba);
 
     const std::uint64_t lba = state->io.lba;
     const std::uint64_t end = lba + state->io.sectors;
@@ -179,7 +181,7 @@ Hic::issuePagePiece(std::shared_ptr<IoState> state, std::uint64_t lpn,
         }
         if (full) {
             ++pageOps_;
-            obs::Hub::ScopedCtx ctx(span);
+            obs::Hub::ScopedCtx ctx(eq_.context(), span);
             ftl_.readPage(lpn, host_addr, done);
             return;
         }
@@ -189,7 +191,7 @@ Hic::issuePagePiece(std::shared_ptr<IoState> state, std::uint64_t lpn,
             withScratch([this, lpn, host_addr, byte_off, byte_len, done,
                          span](std::uint64_t scratch) {
                 ++pageOps_;
-                obs::Hub::ScopedCtx ctx(span);
+                obs::Hub::ScopedCtx ctx(eq_.context(), span);
                 ftl_.readPage(lpn, scratch, [this, lpn, host_addr,
                                              byte_off, byte_len, done,
                                              scratch](bool ok) {
@@ -212,7 +214,7 @@ Hic::issuePagePiece(std::shared_ptr<IoState> state, std::uint64_t lpn,
     // WRITE.
     if (full) {
         ++pageOps_;
-        obs::Hub::ScopedCtx ctx(span);
+        obs::Hub::ScopedCtx ctx(eq_.context(), span);
         ftl_.writePage(lpn, host_addr, done);
         return;
     }
@@ -230,7 +232,7 @@ Hic::issuePagePiece(std::shared_ptr<IoState> state, std::uint64_t lpn,
                 d.read(host_addr, buf);
                 d.write(scratch + byte_off, buf);
                 ++pageOps_;
-                obs::Hub::ScopedCtx ctx(span);
+                obs::Hub::ScopedCtx ctx(eq_.context(), span);
                 ftl_.writePage(lpn, scratch, [this, lpn, done,
                                               scratch](bool ok) {
                     releaseScratch(scratch);
@@ -241,7 +243,7 @@ Hic::issuePagePiece(std::shared_ptr<IoState> state, std::uint64_t lpn,
 
             if (ftl_.isMapped(lpn)) {
                 ++pageOps_;
-                obs::Hub::ScopedCtx ctx(span);
+                obs::Hub::ScopedCtx ctx(eq_.context(), span);
                 ftl_.readPage(lpn, scratch, [this, lpn, done, scratch,
                                              overlay_and_write](bool ok) {
                     if (!ok) {

@@ -1,5 +1,7 @@
 #include "nvme.hh"
 
+#include "obs/sim_context.hh"
+
 namespace babol::host::nvme {
 
 namespace {
@@ -25,7 +27,7 @@ getLe(const std::uint8_t *p, unsigned bytes)
 NvmeFrontEnd::NvmeFrontEnd(EventQueue &eq, const std::string &name,
                            Hic &hic, NvmeConfig cfg)
     : SimObject(eq, name), hic_(hic), cfg_(cfg),
-      metrics_(obs::metrics(), name)
+      metrics_(eq.context().metrics, name)
 {
     babol_assert(cfg_.queuePairs >= 1 && cfg_.queuePairs <= 4096,
                  "1..4096 queue pairs supported, got %u", cfg_.queuePairs);
@@ -164,9 +166,9 @@ NvmeFrontEnd::trySubmit(std::uint32_t qid, const NvmeCommand &cmd,
 
     PendingCmd pc;
     pc.cb = std::move(cb);
-    pc.span = obs::trace().beginSpan(
+    pc.span = eq_.context().trace.beginSpan(
         tenantTrack(cmd.tenant, qid), cmd.write ? lblWrite_ : lblRead_,
-        curTick(), obs::currentCtx(),
+        curTick(), eq_.context().current,
         (std::uint64_t(qid) << 48) |
             (std::uint64_t(cmd.tenant & 0xffff) << 32) |
             (cmd.slba & 0xffffffff));
@@ -305,7 +307,7 @@ NvmeFrontEnd::execute(std::uint32_t qid,
     auto it = q.pending.find(cid);
     babol_assert(it != q.pending.end(),
                  "fetched cid %u with no host-side record", cid);
-    obs::Hub::ScopedCtx ctx(it->second.span);
+    obs::Hub::ScopedCtx ctx(eq_.context(), it->second.span);
     hic_.submit(std::move(io));
 }
 
@@ -389,7 +391,7 @@ NvmeFrontEnd::hostDrainCq(std::uint32_t qid)
         PendingCmd pc = std::move(it->second);
         q.pending.erase(it);
 
-        obs::trace().endSpan(pc.span, curTick());
+        eq_.context().trace.endSpan(pc.span, curTick());
         ++completed_;
         if (!ok)
             ++errors_;

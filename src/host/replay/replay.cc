@@ -4,6 +4,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/sim_context.hh"
+#include "sim/parse.hh"
+
 namespace babol::host::replay {
 
 namespace {
@@ -37,10 +40,8 @@ parseTrace(std::istream &in, const std::string &what)
 
         std::istringstream ls(line);
         double t_us = 0.0;
-        std::string op;
-        std::uint64_t lba = 0;
-        std::uint64_t sectors = 0;
-        if (!(ls >> t_us >> op >> lba >> sectors)) {
+        std::string op, lba_tok, sectors_tok;
+        if (!(ls >> t_us >> op >> lba_tok >> sectors_tok)) {
             fatal("%s:%zu: malformed trace record \"%s\" "
                         "(want: <time_us> <R|W> <lba> <sectors>)",
                         what.c_str(), lineno, line.c_str());
@@ -59,18 +60,30 @@ parseTrace(std::istream &in, const std::string &what)
                         "non-decreasing (%.3f after %.3f)",
                         what.c_str(), lineno, t_us, prev_us);
         }
-        if (sectors == 0 || sectors > (1u << 20)) {
-            fatal("%s:%zu: bad length %llu sectors", what.c_str(),
-                        lineno,
-                        static_cast<unsigned long long>(sectors));
+        // 2^64 ticks: anything at or above it (or NaN) does not fit a
+        // Tick, and converting it would be undefined behaviour.
+        const double at = t_us * static_cast<double>(ticks::perUs);
+        if (!(at < 0x1p64)) {
+            fatal("%s:%zu: timestamp %g us overflows the tick range",
+                  what.c_str(), lineno, t_us);
+        }
+        const auto lba = parseDigits(lba_tok);
+        if (!lba) {
+            fatal("%s:%zu: bad lba \"%s\"", what.c_str(), lineno,
+                  lba_tok.c_str());
+        }
+        const auto sectors = parseDigits(sectors_tok, 1u << 20);
+        if (!sectors || *sectors == 0) {
+            fatal("%s:%zu: bad length \"%s\" sectors", what.c_str(),
+                  lineno, sectors_tok.c_str());
         }
         prev_us = t_us;
 
         TraceOp rec;
-        rec.at = static_cast<Tick>(t_us * ticks::perUs);
+        rec.at = static_cast<Tick>(at);
         rec.write = (op == "W" || op == "w");
-        rec.lba = lba;
-        rec.sectors = static_cast<std::uint32_t>(sectors);
+        rec.lba = *lba;
+        rec.sectors = static_cast<std::uint32_t>(*sectors);
         ops.push_back(rec);
     }
     if (ops.empty())
@@ -91,7 +104,7 @@ ReplayEngine::ReplayEngine(EventQueue &eq, const std::string &name,
                            nvme::NvmeFrontEnd &fe,
                            std::vector<TraceOp> ops, ReplayConfig cfg)
     : SimObject(eq, name), fe_(fe), ops_(std::move(ops)), cfg_(cfg),
-      latencyUs_(name + ".latency_us"), metrics_(obs::metrics(), name)
+      latencyUs_(name + ".latency_us"), metrics_(eq.context().metrics, name)
 {
     babol_assert(!ops_.empty(), "replaying an empty trace");
     babol_assert(cfg_.slots >= 1, "replay needs a staging slot");
@@ -195,8 +208,9 @@ ReplayEngine::pushReady()
             }
             return;
         }
-        obs::trace().instant(track_, lblSubmit_, curTick(), obs::kNoSpan,
-                             encodeArg(cmd.write, cmd.sectors, cmd.slba));
+        eq_.context().trace.instant(
+            track_, lblSubmit_, curTick(), obs::kNoSpan,
+            encodeArg(cmd.write, cmd.sectors, cmd.slba));
         if (curTick() > dueTicks_[idx])
             ++lateIos_;
         ++submitCursor_;

@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <set>
 
-#include "fault/fault_engine.hh"
-#include "obs/audit/auditor.hh"
+#include "obs/sim_context.hh"
 #include "param_page.hh"
 
 namespace babol::nand {
-
-fault::FaultEngine &
-Lun::faults() const
-{
-    return fault::engineOf(cfg_.faults);
-}
 
 const char *
 toString(ArrayOp op)
@@ -47,9 +40,9 @@ Lun::Lun(EventQueue &eq, const std::string &name, const PackageConfig &cfg,
       array_(cfg.geometry, seed),
       rng_(seed ^ 0x9e3779b97f4a7c15ULL),
       planes_(cfg.geometry.planesPerLun),
-      power_(cfg.power, eq, name, {"read", "program", "erase", "misc"},
-             obs::power::modelOf(cfg.power).params().lunIdleMw),
-      metrics_(obs::metrics(), name)
+      power_(eq, name, {"read", "program", "erase", "misc"},
+             eq.context().power.params().lunIdleMw),
+      metrics_(eq.context().metrics, name)
 {
     obsTrack_ = obs::interner().intern(name);
     for (std::size_t i = 0; i < busyLabel_.size(); ++i) {
@@ -119,8 +112,8 @@ Lun::violation(const char *rule, std::string msg) const
     // on a LUN held busy past its datasheet time by a stuck-busy
     // injection) is expected fallout, not a conformance bug: tag it so
     // it never double-reports as a failure.
-    bool suppressed = faults().suppresses(name(), curTick());
-    auto &aud = obs::audit::auditor();
+    bool suppressed = eq_.context().faults.suppresses(name(), curTick());
+    auto &aud = eq_.context().audit;
     if (aud.armed()) {
         aud.report(obs::audit::Check::LunProtocol, rule, name(), curTick(),
                    std::move(msg), suppressed);
@@ -137,7 +130,7 @@ Lun::violation(const char *rule, std::string msg) const
 void
 Lun::auditOpFloor(const char *rule, Tick dur, Tick floor) const
 {
-    auto &aud = obs::audit::auditor();
+    auto &aud = eq_.context().audit;
     if (!aud.armed() || dur >= floor)
         return;
     aud.report(obs::audit::Check::AcTiming, rule, name(), curTick(),
@@ -213,7 +206,7 @@ Lun::commandLatch(std::uint8_t cmd)
         ardy_ = false;
         busyOp_ = ArrayOp::Reset;
         opStart_ = curTick();
-        opParent_ = obs::currentCtx();
+        opParent_ = eq_.context().current;
         busyUntil_ = curTick() + cfg_.timing.tRst;
         busyEvent_ = scheduleIn(cfg_.timing.tRst,
                                 [this] { completeArrayOp(); }, "lun reset");
@@ -777,7 +770,7 @@ Lun::startArrayOp(ArrayOp op, Tick duration, std::function<void()> done)
         // working and its busy bookkeeping must not be clobbered.
         return;
     }
-    if (auto &eng = faults(); eng.armed()) {
+    if (auto &eng = eq_.context().faults; eng.armed()) {
         // Stuck-busy injection: the array overruns its datasheet time.
         // Applied after the floor audits so only upper-bound watchers
         // (the controllers' op timeouts) see the overrun.
@@ -806,7 +799,7 @@ Lun::startArrayOp(ArrayOp op, Tick duration, std::function<void()> done)
     // issuing segment's ambient span (set by the bus); adopt it as the
     // busy period's parent.
     opStart_ = curTick();
-    opParent_ = obs::currentCtx();
+    opParent_ = eq_.context().current;
     busyEvent_ =
         scheduleIn(duration, [this] { completeArrayOp(); }, "lun array op");
 }
@@ -843,7 +836,7 @@ Lun::chargeArray(ArrayOp op, Tick t0, Tick t1)
 void
 Lun::completeArrayOp()
 {
-    auto &tr = obs::trace();
+    auto &tr = eq_.context().trace;
     if (tr.enabled() && busyOp_ != ArrayOp::None) {
         tr.complete(obsTrack_,
                     busyLabel_[static_cast<std::size_t>(busyOp_)],
@@ -897,7 +890,7 @@ void
 Lun::injectReadFaults(PageLoad &load, std::uint32_t block,
                       std::uint32_t page)
 {
-    auto &eng = faults();
+    auto &eng = eq_.context().faults;
     if (!eng.armed() || !load.programmed)
         return;
     std::uint32_t extra =
@@ -1090,8 +1083,8 @@ Lun::startProgram(bool cache_mode)
             }
             for (const RowAddress &row : rows) {
                 Plane &pl = planes_[row.plane(cfg_.geometry)];
-                if (faults().onProgram(name(), row.block, row.page,
-                                              curTick())) {
+                if (eq_.context().faults.onProgram(name(), row.block,
+                                                   row.page, curTick())) {
                     // Injected verify failure: the page never commits,
                     // exactly as a real failed program leaves the array.
                     failBit_ = true;
@@ -1137,8 +1130,8 @@ Lun::startProgram(bool cache_mode)
         bgUntil_ = curTick() + prog_time;
         chargeArray(ArrayOp::Program, curTick(), bgUntil_);
         bgCompletion_ = [this, row, data = std::move(data)] {
-            if (faults().onProgram(name(), row.block, row.page,
-                                          curTick())) {
+            if (eq_.context().faults.onProgram(name(), row.block,
+                                               row.page, curTick())) {
                 failCBit_ = true;
             } else {
                 ArrayStatus st = array_.programPage(row.block, row.page,
@@ -1185,7 +1178,7 @@ Lun::startErase()
 
     startArrayOp(ArrayOp::Erase, dur, [this, blocks, slc_mode] {
         for (std::uint32_t block : blocks) {
-            if (faults().onErase(name(), block, curTick())) {
+            if (eq_.context().faults.onErase(name(), block, curTick())) {
                 // Injected erase-verify failure: the block keeps its
                 // old contents and the FAIL bit tells the controller.
                 failBit_ = true;

@@ -88,10 +88,6 @@ class Lun : public SimObject
 
     // --- Observability ---
 
-    /** The fault engine wired for this LUN's device (see
-     *  PackageConfig::faults; process default when none). */
-    fault::FaultEngine &faults() const;
-
     /** ONFI status byte (WP|RDY|ARDY|CSP|FAILC|FAIL). */
     std::uint8_t statusByte() const;
 

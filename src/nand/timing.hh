@@ -19,14 +19,6 @@
 #include "onfi.hh"
 #include "sim/types.hh"
 
-namespace babol::fault {
-class FaultEngine;
-} // namespace babol::fault
-
-namespace babol::obs::power {
-class PowerModel;
-} // namespace babol::obs::power
-
 namespace babol::nand {
 
 /**
@@ -81,7 +73,9 @@ const char *toString(Vendor v);
 
 /**
  * Everything the simulator needs to instantiate one package model, and
- * everything a controller needs to drive it.
+ * everything a controller needs to drive it. The fault engine and power
+ * model its LUNs use are not configuration: they come from the
+ * simulation's context (eq.context()).
  */
 struct PackageConfig
 {
@@ -107,23 +101,6 @@ struct PackageConfig
     /** Two JEDEC id bytes returned by READ ID @ 0x00. */
     std::uint8_t jedecManufacturer = 0x00;
     std::uint8_t jedecDevice = 0x00;
-
-    /**
-     * The fault engine this package's LUNs consult, threaded here so
-     * every layer from ChannelSystem down resolves the same per-device
-     * engine without new constructor plumbing. nullptr = the process
-     * default (fault::FaultEngine::instance()), preserving the classic
-     * singleton behaviour.
-     */
-    fault::FaultEngine *faults = nullptr;
-
-    /**
-     * The power model every rail below this package charges, threaded
-     * like `faults` so the whole stack (LUNs, bus, DRAM, controller
-     * CPU) resolves one model with no new constructor plumbing.
-     * nullptr = the process default (obs::power::PowerModel::instance()).
-     */
-    obs::power::PowerModel *power = nullptr;
 };
 
 /** SK hynix preset: tR = 100 us (Table I), 8 LUNs per channel. */

@@ -8,7 +8,6 @@
 #include <set>
 #include <sstream>
 
-#include "obs/hub.hh"
 #include "obs/power/power.hh"
 #include "onfi_rules.hh"
 #include "sim/logging.hh"
@@ -46,54 +45,8 @@ Diagnostic::oneLine() const
                   where.c_str(), message.c_str());
 }
 
-Auditor &
-Auditor::instance()
-{
-    static Auditor auditor;
-    return auditor;
-}
-
-namespace {
-thread_local Auditor *tlsAuditor = nullptr;
-} // namespace
-
-Auditor &
-Auditor::current()
-{
-    return tlsAuditor ? *tlsAuditor : instance();
-}
-
-Auditor *
-Auditor::exchangeCurrent(Auditor *a)
-{
-    Auditor *prev = tlsAuditor;
-    tlsAuditor = a;
-    return prev;
-}
-
-std::unique_ptr<Auditor>
-Auditor::makeShard(const Auditor &src)
-{
-    auto shard = std::unique_ptr<Auditor>(new Auditor(Detached{}));
-    if (src.armed_) {
-        shard->cfg_ = src.cfg_;
-        shard->installBuiltins();
-        shard->armed_ = true;
-    }
-    return shard;
-}
-
-void
-Auditor::absorb(Auditor &shard)
-{
-    segments_ += shard.segments_;
-    for (auto &d : shard.diags_)
-        diags_.push_back(std::move(d));
-    shard.diags_.clear();
-    shard.segments_ = 0;
-}
-
-Auditor::Auditor()
+Auditor::Auditor(ExecContext &exec, const power::PowerModel &power)
+    : exec_(exec), power_(power)
 {
     // BABOL_AUDIT=1 arms the default sanitizer mode: panic on the first
     // violation, no forced tracing (flight dumps show whatever the ring
@@ -113,7 +66,7 @@ Auditor::arm(Config cfg)
     segments_ = 0;
     armed_ = true;
     if (cfg_.enableTrace)
-        obs::trace().setEnabled(true);
+        exec_.trace.setEnabled(true);
 }
 
 void
@@ -176,7 +129,7 @@ Auditor::report(Check check, std::string rule, std::string_view where,
     d.where = std::string(where);
     d.message = std::move(message);
     d.at = at;
-    d.span = obs::currentCtx();
+    d.span = exec_.current;
     d.flight = flightDump();
     d.suppressed = suppressed;
     diags_.push_back(d);
@@ -196,9 +149,9 @@ Auditor::finish()
 
     // Energy conservation does not depend on the trace ring, so it
     // runs even when span accounting below has to bail out.
-    power::PowerModel::auditAll(*this);
+    power_.audit(*this);
 
-    TraceRecorder &tr = obs::trace();
+    const TraceRecorder &tr = exec_.trace;
     if (tr.totalRecorded() == 0)
         return; // nothing was traced; nothing to account
     if (tr.droppedRecords() > 0) {
@@ -300,14 +253,14 @@ Auditor::finish()
 std::string
 Auditor::flightDump() const
 {
-    const TraceRecorder &tr = obs::trace();
+    const TraceRecorder &tr = exec_.trace;
     const Interner &in = tr.interner();
     const std::size_t held = tr.size();
     const std::size_t n = std::min(cfg_.flightRecords, held);
     std::ostringstream os;
     if (n == 0) {
         os << "  (trace ring empty — arm with enableTrace or "
-              "obs::trace().setEnabled(true) for flight dumps)\n";
+              "eq.context().trace.setEnabled(true) for flight dumps)\n";
         return os.str();
     }
     const std::uint64_t hidden =

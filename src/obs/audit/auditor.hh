@@ -19,19 +19,19 @@
  *    collected and reported at the end; harnesses exit non-zero when
  *    any were recorded.
  *
- * The auditor is process-wide (like the obs Hub) and deliberately has
- * no link dependency on the nand/chan libraries: it consumes only
+ * One auditor belongs to each SimContext (obs/sim_context.hh): the
+ * inline taps reach it as eq.context().audit, and it reads the trace
+ * ring and power model of that same context, so two simulations never
+ * mix segment streams, flight dumps or verdicts. The auditor has no
+ * link dependency on the nand/chan libraries: it consumes only
  * header-only PODs (TimingParams, CycleType) so babol_obs stays at the
  * bottom of the library stack.
  *
- * Fleet runs: the stateful rules (per-CE AC timing history) and the
- * flight dumps are only coherent within one device, so fleet mode
- * gives every member a detached Auditor (makeShard) mirroring the
- * process instance's armed config, installs it on the worker thread
- * via current()/exchangeCurrent while the member runs, and folds
- * segment counts and diagnostics back with absorb() at the end, in
- * member order. A device lives wholly on one member, so each rule
- * still sees its complete, ordered segment stream.
+ * Fleet runs: each member's context arms its auditor with the parent's
+ * config; the stateful rules (per-CE AC timing history) and the flight
+ * dumps stay coherent because a device lives wholly in one member, and
+ * the fleet verdict sums the members' unsuppressed diagnostics in
+ * member order.
  */
 
 #ifndef BABOL_OBS_AUDIT_AUDITOR_HH
@@ -47,8 +47,13 @@
 
 #include "diagnostic.hh"
 #include "nand/timing.hh"
+#include "obs/hub.hh"
 #include "obs/span.hh"
 #include "sim/types.hh"
+
+namespace babol::obs::power {
+class PowerModel;
+} // namespace babol::obs::power
 
 namespace babol::obs::audit {
 
@@ -114,27 +119,14 @@ class Auditor
         std::optional<nand::TimingParams> datasheet;
     };
 
-    /** Process-wide instance; arms itself when BABOL_AUDIT is set. */
-    static Auditor &instance();
-
-    /** The auditor installed on this thread (the process instance by
-     *  default) — what the inline taps resolve. */
-    static Auditor &current();
-
-    /** Install @p a as this thread's auditor; @return the previous
-     *  binding (nullptr = the process instance). */
-    static Auditor *exchangeCurrent(Auditor *a);
-
     /**
-     * A detached auditor mirroring @p src's armed state and config
-     * (built-in rules only — extra rules added to @p src are not
-     * cloned). Never arms tracing by itself.
+     * The auditor of the context that owns @p exec and @p power (see
+     * SimContext). Arms itself as a sanitizer when BABOL_AUDIT is set.
      */
-    static std::unique_ptr<Auditor> makeShard(const Auditor &src);
+    Auditor(ExecContext &exec, const power::PowerModel &power);
 
-    /** Fold a detached auditor's segment count and diagnostics into
-     *  this one (deterministic when absorbed in member order). */
-    void absorb(Auditor &shard);
+    Auditor(const Auditor &) = delete;
+    Auditor &operator=(const Auditor &) = delete;
 
     /** True when taps should report (the hot-path check). */
     bool armed() const { return armed_; }
@@ -183,10 +175,11 @@ class Auditor
     std::uint64_t segmentsAudited() const { return segments_; }
 
     /**
-     * End-of-run conservation pass over the shared trace ring: every
-     * opened span closes, every op span has at least one bus segment,
-     * nesting is well-formed. Skipped (with a note) when the ring
-     * wrapped — conservation cannot be judged from a partial window.
+     * End-of-run conservation pass over this context's power model
+     * (energy is conserved) and trace ring (every opened span closes,
+     * every op span has at least one bus segment, nesting is
+     * well-formed). Span accounting is skipped when the ring wrapped —
+     * conservation cannot be judged from a partial window.
      */
     void finish();
 
@@ -197,37 +190,15 @@ class Auditor
     void writeReport(std::ostream &os) const;
 
   private:
-    struct Detached
-    {};
-
-    Auditor();
-    explicit Auditor(Detached) {}
-
     void installBuiltins();
 
+    ExecContext &exec_;
+    const power::PowerModel &power_;
     bool armed_ = false;
     Config cfg_;
     std::vector<std::unique_ptr<Rule>> rules_;
     std::vector<Diagnostic> diags_;
     std::uint64_t segments_ = 0;
-};
-
-inline Auditor &auditor() { return Auditor::current(); }
-
-/** RAII: routes this thread's audit taps through @p a (nullptr = back
- *  to the process instance). */
-class ScopedAuditor
-{
-  public:
-    explicit ScopedAuditor(Auditor *a) : prev_(Auditor::exchangeCurrent(a))
-    {}
-    ~ScopedAuditor() { Auditor::exchangeCurrent(prev_); }
-
-    ScopedAuditor(const ScopedAuditor &) = delete;
-    ScopedAuditor &operator=(const ScopedAuditor &) = delete;
-
-  private:
-    Auditor *prev_;
 };
 
 } // namespace babol::obs::audit

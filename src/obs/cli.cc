@@ -5,13 +5,10 @@
 #include <fstream>
 #include <iostream>
 
-#include <cstdlib>
-
-#include "audit/auditor.hh"
-#include "hub.hh"
 #include "perfetto.hh"
-#include "power/power.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
+#include "sim_context.hh"
 
 namespace babol::obs::cli {
 
@@ -48,9 +45,11 @@ Options::parse(int argc, char **argv, int &i)
         return true;
     }
     if (!std::strcmp(arg, "--power-cap") && i + 1 < argc) {
-        powerCapMw = std::strtoull(argv[++i], nullptr, 10);
-        if (powerCapMw == 0)
-            fatal("--power-cap needs a positive cap in mW");
+        const char *val = argv[++i];
+        const auto cap = parseDigits(val);
+        if (!cap || *cap == 0)
+            fatal("--power-cap needs a positive cap in mW, got '%s'", val);
+        powerCapMw = *cap;
         return true;
     }
     return false;
@@ -59,10 +58,11 @@ Options::parse(int argc, char **argv, int &i)
 void
 Options::applyStartup() const
 {
+    SimContext &ctx = SimContext::processDefault();
     if (!traceOut.empty())
-        trace().setEnabled(true);
+        ctx.trace.setEnabled(true);
     if (!powerOut.empty() || powerCapMw > 0) {
-        auto &pm = power::PowerModel::instance();
+        auto &pm = ctx.power;
         pm.enable();
         if (powerCapMw > 0) {
             power::GovernorConfig g;
@@ -75,28 +75,30 @@ Options::applyStartup() const
     audit::Auditor::Config cfg;
     cfg.throwOnDiagnostic = false; // collect; report at finalize()
     cfg.enableTrace = true;        // flight dumps + conservation pass
-    audit::Auditor::instance().arm(cfg);
+    ctx.audit.arm(cfg);
 }
 
 void
 Options::captureMetrics(const EventQueue &eq)
 {
-    MetricsGroup kernel(metrics(), "kernel");
+    MetricsRegistry &reg = eq.context().metrics;
+    MetricsGroup kernel(reg, "kernel");
     registerEventQueueMetrics(kernel, eq);
-    snapshot_ = metrics().snapshot();
+    snapshot_ = reg.snapshot();
     snapshot_->simTicks = eq.now();
 }
 
 int
 Options::finalize() const
 {
+    SimContext &ctx = SimContext::processDefault();
     if (!traceOut.empty()) {
         std::ofstream out(traceOut);
         if (!out)
             fatal("cannot open %s", traceOut.c_str());
-        writePerfettoJson(out, trace());
+        writePerfettoJson(out, ctx.trace);
         std::printf("wrote %llu trace records to %s\n",
-                    static_cast<unsigned long long>(trace().size()),
+                    static_cast<unsigned long long>(ctx.trace.size()),
                     traceOut.c_str());
     }
 
@@ -107,7 +109,7 @@ Options::finalize() const
         if (snapshot_)
             MetricsRegistry::writeJson(out, *snapshot_);
         else
-            metrics().writeJson(out);
+            ctx.metrics.writeJson(out);
         std::printf("wrote metrics to %s\n", metricsOut.c_str());
     }
 
@@ -115,11 +117,11 @@ Options::finalize() const
         std::ofstream out(powerOut);
         if (!out)
             fatal("cannot open %s", powerOut.c_str());
-        power::PowerModel::instance().writeJson(out);
+        ctx.power.writeJson(out);
         std::printf("wrote power summary to %s\n", powerOut.c_str());
     }
     if (powerCapMw > 0) {
-        auto &pm = power::PowerModel::instance();
+        const auto &pm = ctx.power;
         std::printf("power governor: cap %llu mW, %llu throttle "
                     "window(s), %.1f us throttled\n",
                     static_cast<unsigned long long>(powerCapMw),
@@ -128,7 +130,7 @@ Options::finalize() const
                     ticks::toUs(pm.throttledTicksTotal()));
     }
 
-    auto &aud = audit::Auditor::instance();
+    auto &aud = ctx.audit;
     if (!audit || !aud.armed())
         return 0;
 

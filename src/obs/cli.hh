@@ -17,6 +17,10 @@
  *   --power-cap MW      enable the power model and arm a per-channel
  *                       power-budget governor with the given cap
  *
+ * The options act on the process default context
+ * (SimContext::processDefault()), the one a default-constructed
+ * EventQueue binds.
+ *
  * Usage pattern:
  *
  *   obs::cli::Options obs_opts;
@@ -26,7 +30,7 @@
  *       ... harness-specific flags ...
  *   }
  *   obs_opts.applyStartup();
- *   ... run ...
+ *   ... run (on default-constructed event queues) ...
  *   obs_opts.captureMetrics(eq);   // while the sim objects are alive
  *   return obs_opts.finalize();    // or fold into the harness status
  */

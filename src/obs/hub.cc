@@ -4,29 +4,11 @@
 
 namespace babol::obs {
 
-Hub &
-Hub::instance()
+Interner &
+interner()
 {
-    static Hub hub;
-    return hub;
-}
-
-namespace {
-thread_local ExecContext *tlsCtx = nullptr;
-} // namespace
-
-ExecContext &
-Hub::current()
-{
-    return tlsCtx ? *tlsCtx : instance().main_;
-}
-
-ExecContext *
-Hub::exchangeCurrent(ExecContext *ctx)
-{
-    ExecContext *prev = tlsCtx;
-    tlsCtx = ctx;
-    return prev;
+    static Interner interner;
+    return interner;
 }
 
 MetricsGroup &

@@ -1,29 +1,27 @@
 /**
  * @file
- * The observability hub: one process-wide home for the label interner,
- * plus the *execution context* — the trace recorder, metrics registry
- * and ambient span slot the recording helpers route through.
+ * The observability hub: the process-wide label interner, plus the
+ * *execution context* — the trace recorder, metrics registry and
+ * ambient span slot one simulation records into.
  *
- * A device runs single-threaded (one EventQueue, sequential callbacks),
- * and a classic run records everything into the hub's main
- * ExecContext. Fleet mode gives every member its own ExecContext and
- * installs it on the worker thread via a thread-local while that
- * member runs, so trace records, metrics and span ids land in
+ * An ExecContext is part of a SimContext (obs/sim_context.hh), and
+ * code reaches it through its event queue: eq.context().trace,
+ * eq.context().metrics, eq.context().current. A fleet member builds
+ * its own SimContext, so trace records, metrics and span ids land in
  * per-member buffers with no synchronization on the hot path.
  *
  * Shared pieces and their thread-safety:
- *  - Interner: global (ids must agree across members so records decode
- *    uniformly); mutex-guarded — interning is a cold, construction-time
- *    path.
- *  - MetricsRegistry: one per ExecContext; the main context's registry
- *    is the process registry. Counters themselves stay plain — each
- *    belongs to exactly one member's components.
+ *  - Interner: process-global (ids must agree across members so
+ *    records decode uniformly); mutex-guarded — interning is a cold,
+ *    construction-time path.
+ *  - MetricsRegistry: one per ExecContext. Counters themselves stay
+ *    plain — each belongs to exactly one simulation's components.
  *  - Span ids: each ExecContext mints ids in its own namespace (member
  *    id in the top bits), so ids are unique across members and
- *    identical at any thread count. The main context keeps namespace 0.
+ *    identical at any thread count. Stand-alone simulations use
+ *    namespace 0.
  *
- * Tests call reset() between runs so recorded state never leaks across
- * fixtures.
+ * A test that needs fresh recorded state builds a fresh context.
  */
 
 #ifndef BABOL_OBS_HUB_HH
@@ -43,16 +41,17 @@ namespace babol::obs {
 /** Member index is packed into the top bits of every minted SpanId. */
 constexpr unsigned kSpanMemberShift = 48;
 
+/** The process-global label interner. */
+Interner &interner();
+
 /**
- * Everything the recording helpers resolve per execution stream: a
- * trace ring, a private metrics registry, and the ambient span. One
- * per fleet member; the hub owns the main one.
+ * What one simulation records into: a trace ring, a private metrics
+ * registry, and the ambient span. Span ids are minted in namespace
+ * @p member.
  */
 struct ExecContext
 {
-    ExecContext(Interner &interner, std::uint32_t member,
-                std::size_t traceCapacity = TraceRecorder::kDefaultCapacity)
-        : trace(interner, traceCapacity)
+    explicit ExecContext(std::uint32_t member) : trace(interner())
     {
         trace.seedSpanIds(SpanId(member) << kSpanMemberShift);
     }
@@ -62,59 +61,20 @@ struct ExecContext
 
     TraceRecorder trace;
     MetricsRegistry metrics;
-    SpanId current = kNoSpan;
+    SpanId current = kNoSpan; //!< ambient span (kNoSpan if none)
 };
 
-class Hub
+struct Hub
 {
-  public:
-    static Hub &instance();
-
-    Interner &interner() { return interner_; }
-
-    /** The main-thread/classic context. */
-    ExecContext &main() { return main_; }
-
-    /** The context installed on this thread (the main one by default). */
-    static ExecContext &current();
-
-    /** Install @p ctx on this thread; @return the previous binding
-     *  (nullptr = main). Prefer ScopedExecContext. */
-    static ExecContext *exchangeCurrent(ExecContext *ctx);
-
-    /** Back-compat accessors: the main context's recorder and the
-     *  process registry. Routing-sensitive code should go through the
-     *  free helpers trace()/metrics() instead. */
-    TraceRecorder &trace() { return main_.trace; }
-    MetricsRegistry &metrics() { return main_.metrics; }
-
-    /** Ambient span for synchronously-triggered work (kNoSpan if none). */
-    SpanId currentCtx() const { return current().current; }
-
-    /**
-     * Drop recorded trace state and the ambient context of the current
-     * execution context. Metric registrations and interned labels
-     * survive (they belong to live objects); the recording switch is
-     * turned off.
-     */
-    void
-    reset()
-    {
-        ExecContext &ctx = current();
-        ctx.trace.setEnabled(false);
-        ctx.trace.clear();
-        ctx.current = kNoSpan;
-    }
-
-    /** RAII: installs @p ctx as the ambient span for the current scope
-     *  (within the current execution context). */
+    /** RAII: installs @p span as @p ctx's ambient span for the current
+     *  scope (synchronously-triggered work inherits it). */
     class ScopedCtx
     {
       public:
-        explicit ScopedCtx(SpanId ctx)
-            : ctx_(Hub::current()), prev_(ctx_.current)
+        ScopedCtx(ExecContext &ctx, SpanId span)
+            : ctx_(ctx), prev_(ctx.current)
         {
-            ctx_.current = ctx;
+            ctx_.current = span;
         }
         ~ScopedCtx() { ctx_.current = prev_; }
 
@@ -125,37 +85,7 @@ class Hub
         ExecContext &ctx_;
         SpanId prev_;
     };
-
-  private:
-    Hub() : main_(interner_, 0) {}
-
-    Interner interner_;
-    ExecContext main_;
 };
-
-/** RAII: routes this thread's obs helpers through @p ctx (nullptr =
- *  back to the hub's main context). */
-class ScopedExecContext
-{
-  public:
-    explicit ScopedExecContext(ExecContext *ctx)
-        : prev_(Hub::exchangeCurrent(ctx))
-    {}
-    ~ScopedExecContext() { Hub::exchangeCurrent(prev_); }
-
-    ScopedExecContext(const ScopedExecContext &) = delete;
-    ScopedExecContext &operator=(const ScopedExecContext &) = delete;
-
-  private:
-    ExecContext *prev_;
-};
-
-inline Hub &hub() { return Hub::instance(); }
-inline Interner &interner() { return hub().interner(); }
-inline ExecContext &currentExec() { return Hub::current(); }
-inline TraceRecorder &trace() { return Hub::current().trace; }
-inline MetricsRegistry &metrics() { return Hub::current().metrics; }
-inline SpanId currentCtx() { return Hub::current().current; }
 
 /**
  * Register the event kernel's pool/scheduler gauges under

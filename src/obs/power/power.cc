@@ -4,7 +4,7 @@
 #include <ostream>
 
 #include "obs/audit/auditor.hh"
-#include "obs/hub.hh"
+#include "obs/sim_context.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -13,56 +13,21 @@ namespace babol::obs::power {
 // ---------------------------------------------------------------------
 // PowerModel
 
-namespace {
-
-/** Every live model, for the end-of-run conservation audit. */
-std::mutex &
-modelsMu()
-{
-    static std::mutex mu;
-    return mu;
-}
-
-std::vector<const PowerModel *> &
-models()
-{
-    static std::vector<const PowerModel *> v;
-    return v;
-}
-
-} // namespace
-
-PowerModel::PowerModel()
-{
-    std::lock_guard<std::mutex> lk(modelsMu());
-    models().push_back(this);
-}
-
-PowerModel::~PowerModel()
-{
-    std::lock_guard<std::mutex> lk(modelsMu());
-    auto &v = models();
-    v.erase(std::remove(v.begin(), v.end(), this), v.end());
-}
-
 PowerModel &
 PowerModel::instance()
 {
-    static PowerModel model;
-    return model;
+    return SimContext::processDefault().power;
 }
 
 void
 PowerModel::registerMeter(Meter *m)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     meters_.push_back(m);
 }
 
 void
 PowerModel::unregisterMeter(Meter *m)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     meters_.erase(std::remove(meters_.begin(), meters_.end(), m),
                   meters_.end());
 }
@@ -70,20 +35,18 @@ PowerModel::unregisterMeter(Meter *m)
 void
 PowerModel::retire(const Meter &m)
 {
-    retiredFj_.fetch_add(m.activeFj(), std::memory_order_relaxed);
+    retiredFj_ += m.activeFj();
 }
 
 void
 PowerModel::registerGovernor(PowerGovernor *g)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     governors_.push_back(g);
 }
 
 void
 PowerModel::unregisterGovernor(PowerGovernor *g)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     governors_.erase(std::remove(governors_.begin(), governors_.end(), g),
                      governors_.end());
 }
@@ -91,7 +54,6 @@ PowerModel::unregisterGovernor(PowerGovernor *g)
 void
 PowerModel::retireGovernor(const PowerGovernor &g)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     retiredWindows_ += g.windows().size();
     retiredThrottledTicks_ += g.throttledTicks();
 }
@@ -99,7 +61,6 @@ PowerModel::retireGovernor(const PowerGovernor &g)
 std::uint64_t
 PowerModel::liveActiveFj() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::uint64_t sum = 0;
     for (const Meter *m : meters_)
         sum += m->activeFj();
@@ -109,7 +70,6 @@ PowerModel::liveActiveFj() const
 std::uint64_t
 PowerModel::liveIdleFj() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::uint64_t sum = 0;
     for (const Meter *m : meters_)
         sum += m->idleFj();
@@ -119,7 +79,6 @@ PowerModel::liveIdleFj() const
 std::uint64_t
 PowerModel::grandTotalFjAt(Tick wall) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::uint64_t idle = 0;
     for (const Meter *m : meters_)
         idle += m->idleFjAt(wall);
@@ -129,7 +88,6 @@ PowerModel::grandTotalFjAt(Tick wall) const
 std::uint64_t
 PowerModel::throttleWindowsTotal() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::uint64_t n = retiredWindows_;
     for (const PowerGovernor *g : governors_)
         n += g->windows().size();
@@ -139,7 +97,6 @@ PowerModel::throttleWindowsTotal() const
 Tick
 PowerModel::throttledTicksTotal() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     Tick t = retiredThrottledTicks_;
     for (const PowerGovernor *g : governors_)
         t += g->throttledTicks();
@@ -150,8 +107,7 @@ bool
 PowerModel::conservationOk(std::string *detail) const
 {
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        for (const Meter *m : meters_) {
+            for (const Meter *m : meters_) {
             std::uint64_t slots = 0;
             for (std::size_t i = 0; i < m->slotCount(); ++i)
                 slots += m->slotFj(i);
@@ -184,8 +140,7 @@ PowerModel::writeJson(std::ostream &os) const
     std::vector<const Meter *> meters;
     std::vector<const PowerGovernor *> governors;
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        meters.assign(meters_.begin(), meters_.end());
+            meters.assign(meters_.begin(), meters_.end());
         governors.assign(governors_.begin(), governors_.end());
     }
     std::sort(meters.begin(), meters.end(),
@@ -226,31 +181,22 @@ PowerModel::writeJson(std::ostream &os) const
 }
 
 void
-PowerModel::auditAll(audit::Auditor &aud)
+PowerModel::audit(audit::Auditor &aud) const
 {
-    std::vector<const PowerModel *> snapshot;
-    {
-        std::lock_guard<std::mutex> lk(modelsMu());
-        snapshot = models();
-    }
-    for (const PowerModel *m : snapshot) {
-        if (!m->enabled())
-            continue;
-        std::string detail;
-        if (!m->conservationOk(&detail))
-            aud.report(audit::Check::Power, "power.conservation", "power",
-                       0, detail);
-    }
+    std::string detail;
+    if (enabled() && !conservationOk(&detail))
+        aud.report(audit::Check::Power, "power.conservation", "power", 0,
+                   detail);
 }
 
 // ---------------------------------------------------------------------
 // Meter
 
-Meter::Meter(PowerModel *model, EventQueue &eq, std::string rail,
+Meter::Meter(EventQueue &eq, std::string rail,
              std::initializer_list<const char *> slots,
              std::uint32_t idle_mw)
-    : model_(&modelOf(model)), eq_(eq), rail_(std::move(rail)),
-      idleMw_(idle_mw), enabled_(modelOf(model).enabled())
+    : model_(eq.context().power), eq_(eq), rail_(std::move(rail)),
+      idleMw_(idle_mw), enabled_(model_.enabled())
 {
     babol_assert(slots.size() <= kMaxSlots, "meter %s: too many slots",
                  rail_.c_str());
@@ -259,7 +205,7 @@ Meter::Meter(PowerModel *model, EventQueue &eq, std::string rail,
     if (!enabled_)
         return;
     ctrTrack_ = interner().intern(rail_ + ".mW");
-    metrics_.emplace(metrics(), rail_ + ".power");
+    metrics_.emplace(eq.context().metrics, rail_ + ".power");
     for (std::size_t i = 0; i < slotCount_; ++i)
         metrics_->value(std::string(slotNames_[i]) + "_fj",
                         [this, i] { return slotFj(i); });
@@ -270,15 +216,15 @@ Meter::Meter(PowerModel *model, EventQueue &eq, std::string rail,
         const Tick now = eq_.now();
         return now ? grandFj() / now : 0;
     });
-    model_->registerMeter(this);
+    model_.registerMeter(this);
 }
 
 Meter::~Meter()
 {
     if (!enabled_)
         return;
-    model_->retire(*this);
-    model_->unregisterMeter(this);
+    model_.retire(*this);
+    model_.unregisterMeter(this);
 }
 
 void
@@ -287,8 +233,8 @@ Meter::noteActive(Tick t0, Tick t1, std::uint64_t fj)
     if (!enabled_ || t1 <= t0)
         return;
     const Tick dur = t1 - t0;
-    activeTicks_.fetch_add(dur, std::memory_order_relaxed);
-    TraceRecorder &tr = trace();
+    activeTicks_ += dur;
+    TraceRecorder &tr = eq_.context().trace;
     if (tr.enabled()) {
         // Counter-rail samples: power rises to idle + the window's mean
         // at t0 and falls back to the standby floor at t1.
@@ -319,10 +265,9 @@ Meter::idleFjAt(Tick wall) const
 // ---------------------------------------------------------------------
 // PowerGovernor
 
-PowerGovernor::PowerGovernor(EventQueue &eq, std::string name,
-                             PowerModel &model)
-    : eq_(eq), name_(std::move(name)), model_(model),
-      cfg_(model.governorConfig())
+PowerGovernor::PowerGovernor(EventQueue &eq, std::string name)
+    : eq_(eq), name_(std::move(name)), model_(eq.context().power),
+      cfg_(model_.governorConfig())
 {
     babol_assert(cfg_.capMw > 0, "governor %s: no power cap configured",
                  name_.c_str());
@@ -366,8 +311,8 @@ PowerGovernor::addEnergy(Tick at, std::uint64_t fj)
     throttleUntil_ = until;
     throttledTicks_ += cfg_.idlePeriod;
     windows_.emplace_back(at, until);
-    trace().complete(obsTrack_, throttleLabel_, at, until, kNoSpan,
-                     windows_.size());
+    eq_.context().trace.complete(obsTrack_, throttleLabel_, at, until,
+                                 kNoSpan, windows_.size());
     // Absolute: @p at is the *end* of the charged window, which can sit
     // ahead of now() (bus bursts and CPU quanta charge on dispatch), and
     // the release must not fire while the window is still open.

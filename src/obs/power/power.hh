@@ -28,12 +28,10 @@
 #define BABOL_OBS_POWER_POWER_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <iosfwd>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -101,24 +99,24 @@ struct GovernorConfig
 };
 
 /**
- * Process-wide power model: parameters, the rail-total accumulator,
- * and the registry of live meters/governors. Like the fault engine,
- * device configs carry a `PowerModel *` (nullptr = the process
- * default), so every layer resolves the same model with no extra
- * constructor plumbing. Meters latch `enabled()` at construction:
- * enable the model *before* building the device, and a disabled
- * model's meters are inert bools on the hot path.
+ * One simulation's power model: parameters, the rail-total
+ * accumulator, and the live meters/governors. Each SimContext owns
+ * one, and every meter charges the model of its event queue's context
+ * (eq.context().power), so no component constructor carries it. A
+ * context lives on one thread, so nothing here is synchronized.
+ * Meters latch `enabled()` at construction: enable the model *before*
+ * building the device, and a disabled model's meters are inert bools
+ * on the hot path.
  */
 class PowerModel
 {
   public:
-    PowerModel();
-    ~PowerModel();
+    PowerModel() = default;
 
     PowerModel(const PowerModel &) = delete;
     PowerModel &operator=(const PowerModel &) = delete;
 
-    /** The process-default model. */
+    /** The process default context's model. */
     static PowerModel &instance();
 
     bool enabled() const { return enabled_; }
@@ -140,18 +138,10 @@ class PowerModel
 
     /** Total energy ever charged through this model's meters,
      *  including meters that have since been destroyed. */
-    std::uint64_t
-    railTotalFj() const
-    {
-        return railTotalFj_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t railTotalFj() const { return railTotalFj_; }
 
     /** Energy carried by meters that have been destroyed. */
-    std::uint64_t
-    retiredFj() const
-    {
-        return retiredFj_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t retiredFj() const { return retiredFj_; }
 
     /** Σ live meters' active (state-charged) energy. */
     std::uint64_t liveActiveFj() const;
@@ -190,20 +180,17 @@ class PowerModel
     void writeJson(std::ostream &os) const;
 
     /**
-     * Auditor hook: report a Check::Power diagnostic on every live
-     * model whose conservation invariant fails. Called from
-     * Auditor::finish().
+     * Auditor hook: report a Check::Power diagnostic when this (enabled)
+     * model's conservation invariant fails. Called from
+     * Auditor::finish() of the same context.
      */
-    static void auditAll(audit::Auditor &aud);
+    void audit(audit::Auditor &aud) const;
 
   private:
     friend class Meter;
     friend class PowerGovernor;
 
-    void addRail(std::uint64_t fj)
-    {
-        railTotalFj_.fetch_add(fj, std::memory_order_relaxed);
-    }
+    void addRail(std::uint64_t fj) { railTotalFj_ += fj; }
     void registerMeter(Meter *m);
     void unregisterMeter(Meter *m);
     void retire(const Meter &m);
@@ -214,31 +201,21 @@ class PowerModel
     bool enabled_ = false;
     PowerParams params_;
     GovernorConfig governorCfg_;
-    std::atomic<std::uint64_t> railTotalFj_{0};
-    std::atomic<std::uint64_t> retiredFj_{0};
+    std::uint64_t railTotalFj_ = 0;
+    std::uint64_t retiredFj_ = 0;
     std::uint64_t retiredWindows_ = 0;
     Tick retiredThrottledTicks_ = 0;
 
-    /** Guards the registries only; construction/destruction happens on
-     *  the main thread (or inside a fleet member), never on the charge
-     *  hot path. */
-    mutable std::mutex mu_;
     std::vector<Meter *> meters_;
     std::vector<PowerGovernor *> governors_;
 };
 
-/** Resolve a config's model pointer (nullptr = the process default). */
-inline PowerModel &
-modelOf(PowerModel *p)
-{
-    return p ? *p : PowerModel::instance();
-}
-
 /**
  * One power rail: a component's per-state energy accumulators plus its
- * standby floor. At most four named state slots; charges are relaxed
- * atomics, and the DRAM meter is shared by every channel of a device
- * (each counter's final value is the same sum in any order).
+ * standby floor, charging the model of its event queue's context. At
+ * most four named state slots; the DRAM meter is shared by every
+ * channel of a device (each counter's final value is the same sum in
+ * any order).
  *
  * Idle energy is derived lazily — `(now − Σ active ticks) × idleMw` —
  * so an idle component costs nothing to account for.
@@ -248,7 +225,7 @@ class Meter
   public:
     static constexpr std::size_t kMaxSlots = 4;
 
-    Meter(PowerModel *model, EventQueue &eq, std::string rail,
+    Meter(EventQueue &eq, std::string rail,
           std::initializer_list<const char *> slots, std::uint32_t idle_mw);
     ~Meter();
 
@@ -259,7 +236,7 @@ class Meter
     bool enabled() const { return enabled_; }
 
     /** The owning model's parameters (valid only when enabled). */
-    const PowerParams &params() const { return model_->params(); }
+    const PowerParams &params() const { return model_.params(); }
 
     /** Power-governor to notify of charges (throttle accounting). */
     void setGovernor(PowerGovernor *gov) { gov_ = gov; }
@@ -286,9 +263,9 @@ class Meter
     {
         if (!enabled_ || fj == 0)
             return;
-        slotFj_[slot].fetch_add(fj, std::memory_order_relaxed);
-        totalFj_.fetch_add(fj, std::memory_order_relaxed);
-        model_->addRail(fj);
+        slotFj_[slot] += fj;
+        totalFj_ += fj;
+        model_.addRail(fj);
     }
 
     /**
@@ -297,25 +274,13 @@ class Meter
      */
     void noteActive(Tick t0, Tick t1, std::uint64_t fj);
 
-    std::uint64_t
-    slotFj(std::size_t slot) const
-    {
-        return slotFj_[slot].load(std::memory_order_relaxed);
-    }
+    std::uint64_t slotFj(std::size_t slot) const { return slotFj_[slot]; }
 
     /** Σ slots — every joule this rail charged. */
-    std::uint64_t
-    activeFj() const
-    {
-        return totalFj_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t activeFj() const { return totalFj_; }
 
     /** Ticks spent in charged states. */
-    std::uint64_t
-    activeTicks() const
-    {
-        return activeTicks_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t activeTicks() const { return activeTicks_; }
 
     /** Standby energy up to the component's queue time (saturating:
      *  overlapping foreground/background windows can make active time
@@ -333,7 +298,7 @@ class Meter
     std::uint32_t idleMw() const { return idleMw_; }
 
   private:
-    PowerModel *model_ = nullptr;
+    PowerModel &model_;
     EventQueue &eq_;
     std::string rail_;
     std::array<const char *, kMaxSlots> slotNames_{};
@@ -342,9 +307,9 @@ class Meter
     bool enabled_ = false;
     PowerGovernor *gov_ = nullptr;
 
-    std::array<std::atomic<std::uint64_t>, kMaxSlots> slotFj_{};
-    std::atomic<std::uint64_t> totalFj_{0};
-    std::atomic<std::uint64_t> activeTicks_{0};
+    std::array<std::uint64_t, kMaxSlots> slotFj_{};
+    std::uint64_t totalFj_ = 0;
+    std::uint64_t activeTicks_ = 0;
 
     std::uint32_t ctrTrack_ = 0; //!< interned counter-rail name
 
@@ -370,7 +335,8 @@ class PowerGovernor
   public:
     static constexpr std::size_t kBuckets = 16;
 
-    PowerGovernor(EventQueue &eq, std::string name, PowerModel &model);
+    /** Throttles against the cap of @p eq's context's model. */
+    PowerGovernor(EventQueue &eq, std::string name);
     ~PowerGovernor();
 
     PowerGovernor(const PowerGovernor &) = delete;

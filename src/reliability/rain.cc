@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "obs/sim_context.hh"
 #include "sim/logging.hh"
 
 namespace babol::reliability {
@@ -10,7 +11,7 @@ namespace babol::reliability {
 RainManager::RainManager(EventQueue &eq, const std::string &name,
                          ftl::PageFtl &ftl, RainConfig cfg)
     : SimObject(eq, name), ftl_(ftl), cfg_(cfg),
-      pageBytes_(ftl.pageBytes()), metrics_(obs::metrics(), name)
+      pageBytes_(ftl.pageBytes()), metrics_(eq.context().metrics, name)
 {
     obsTrack_ = obs::interner().intern(name);
     lblSeal_ = obs::interner().intern("rain.seal");
@@ -243,11 +244,11 @@ RainManager::pumpParity()
             ftl_.reliabilityScratchAddr(cfg_.scratchSlot);
         ftl_.backend().backendDram().write(addr, s.xorAcc);
 
-        const obs::SpanId span = obs::trace().beginSpan(
-            obsTrack_, lblSeal_, curTick(), obs::currentCtx(), id);
+        const obs::SpanId span = eq_.context().trace.beginSpan(
+            obsTrack_, lblSeal_, curTick(), eq_.context().current, id);
         ftl_.writeParity(id, addr, s.chipMask,
                          [this, id, span](bool ok, ftl::Ppa at) {
-            obs::trace().endSpan(span, curTick());
+            eq_.context().trace.endSpan(span, curTick());
             parityBusy_ = false;
             parityPending_.pop_front();
             auto sit = stripes_.find(id);
@@ -334,9 +335,9 @@ RainManager::doRelease(std::uint32_t chip, std::uint32_t block,
         if (it != unitAt_.end())
             st->doomed.push_back({it->second, {chip, block, p}});
     }
-    st->span = obs::trace().beginSpan(obsTrack_, lblRelease_, curTick(),
-                                      obs::currentCtx(),
-                                      st->doomed.size());
+    st->span = eq_.context().trace.beginSpan(
+        obsTrack_, lblRelease_, curTick(), eq_.context().current,
+        st->doomed.size());
 
     // Each doomed unit is read once (rebuilt if unreadable) and
     // patched out of its stripe — reads only, no data moves, so the
@@ -349,7 +350,7 @@ RainManager::doRelease(std::uint32_t chip, std::uint32_t block,
     *step = [this, st, self = std::weak_ptr(step)] {
         const auto step = self.lock();
         if (st->i >= st->doomed.size()) {
-            obs::trace().endSpan(st->span, curTick());
+            eq_.context().trace.endSpan(st->span, curTick());
             st->proceed();
             st->next();
             return;
@@ -517,13 +518,13 @@ RainManager::doHostRebuild(HostRebuild hr, std::function<void()> next)
         next();
         return;
     }
-    const obs::SpanId span = obs::trace().beginSpan(
-        obsTrack_, lblRebuild_, curTick(), obs::currentCtx(), hr.lpn);
+    const obs::SpanId span = eq_.context().trace.beginSpan(
+        obsTrack_, lblRebuild_, curTick(), eq_.context().current, hr.lpn);
     rebuildUnit(uit->second, hr.at, cfg_.scratchSlot + 1,
                 [this, hr = std::move(hr), span,
                  next = std::move(next)](bool ok,
                                          std::vector<std::uint8_t> d) {
-        obs::trace().endSpan(span, curTick());
+        eq_.context().trace.endSpan(span, curTick());
         if (!ok) {
             ++rebuildsFailed_;
             hr.done(false);
@@ -627,14 +628,14 @@ RainManager::doRepair(RepairJob job, std::function<void()> next)
         }
         const bool isParity = sit->second.hasParity &&
                               key(sit->second.parity) == key(job.at);
-        const obs::SpanId span = obs::trace().beginSpan(
-            obsTrack_, lblRebuild_, curTick(), obs::currentCtx(),
+        const obs::SpanId span = eq_.context().trace.beginSpan(
+            obsTrack_, lblRebuild_, curTick(), eq_.context().current,
             job.stripe);
         rebuildUnit(job.stripe, job.at, cfg_.scratchSlot + 1,
                     [this, job, isParity, span, idle,
                      next = std::move(next)](
                         bool ok, std::vector<std::uint8_t> d) {
-            obs::trace().endSpan(span, curTick());
+            eq_.context().trace.endSpan(span, curTick());
             if (ok) {
                 ++rebuildsOk_;
                 if (isParity)
@@ -672,13 +673,13 @@ RainManager::doRepair(RepairJob job, std::function<void()> next)
         return;
     }
     const std::uint64_t stripe = uit->second;
-    const obs::SpanId span = obs::trace().beginSpan(
-        obsTrack_, lblRebuild_, curTick(), obs::currentCtx(), job.lpn);
+    const obs::SpanId span = eq_.context().trace.beginSpan(
+        obsTrack_, lblRebuild_, curTick(), eq_.context().current, job.lpn);
     rebuildUnit(stripe, at, cfg_.scratchSlot + 1,
                 [this, job, at, stripe, span, idle,
                  next = std::move(next)](bool ok,
                                          std::vector<std::uint8_t> d) {
-        obs::trace().endSpan(span, curTick());
+        eq_.context().trace.endSpan(span, curTick());
         if (!ok) {
             ++rebuildsFailed_;
             idle();

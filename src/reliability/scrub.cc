@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "obs/sim_context.hh"
+
 namespace babol::reliability {
 
 PatrolScrubber::PatrolScrubber(EventQueue &eq, const std::string &name,
                                ftl::PageFtl &ftl, ScrubConfig cfg)
     : SimObject(eq, name), ftl_(ftl), cfg_(cfg),
-      metrics_(obs::metrics(), name)
+      metrics_(eq.context().metrics, name)
 {
     obsTrack_ = obs::interner().intern(name);
     lblPatrol_ = obs::interner().intern("scrub.patrol");
@@ -105,13 +107,13 @@ PatrolScrubber::tick()
     const std::uint64_t lpn = *ftl_.pageLpnAt(c, b, p);
 
     ++patrolReads_;
-    const obs::SpanId span = obs::trace().beginSpan(
-        obsTrack_, lblPatrol_, curTick(), obs::currentCtx(), lpn);
+    const obs::SpanId span = eq_.context().trace.beginSpan(
+        obsTrack_, lblPatrol_, curTick(), eq_.context().current, lpn);
 
     ftl_.readPhysical(
         c, b, p, ftl_.reliabilityScratchAddr(cfg_.scratchSlot),
         [this, c, b, lpn, span](const core::OpResult &r) {
-            obs::trace().endSpan(span, curTick());
+            eq_.context().trace.endSpan(span, curTick());
 
             bool refresh = false;
             if (!r.ok) {
@@ -138,14 +140,14 @@ PatrolScrubber::tick()
                 return;
             }
             ++refreshes_;
-            const obs::SpanId rs = obs::trace().beginSpan(
-                obsTrack_, lblRefresh_, curTick(), obs::currentCtx(),
+            const obs::SpanId rs = eq_.context().trace.beginSpan(
+                obsTrack_, lblRefresh_, curTick(), eq_.context().current,
                 lpn);
             // Steer the rewrite to the coldest other chip: scrub
             // traffic is what balances wear ACROSS chips (per-chip WL
             // only balances within one).
             ftl_.refreshLpn(lpn, [this, rs](bool) {
-                obs::trace().endSpan(rs, curTick());
+                eq_.context().trace.endSpan(rs, curTick());
                 armTick();
             }, ftl_.coldestChip(1u << c));
         });

@@ -4,8 +4,9 @@
 
 namespace babol {
 
-EventQueue::EventQueue()
-    : wheelHead_(kWheelBuckets, kNilIndex), wheelBitmap_(kWheelBuckets / 64)
+EventQueue::EventQueue(SimContext &ctx)
+    : ctx_(&ctx), wheelHead_(kWheelBuckets, kNilIndex),
+      wheelBitmap_(kWheelBuckets / 64)
 {}
 
 void

@@ -25,6 +25,10 @@
  *
  * Pool and routing statistics are exported through the stats.hh Counter
  * machinery (see poolStats()).
+ *
+ * A queue is also the handle to its simulation's SimContext (trace
+ * ring, metrics, auditor, power model, fault engine): every SimObject
+ * already holds the queue, so context() is how it reaches them.
  */
 
 #ifndef BABOL_SIM_EVENT_QUEUE_HH
@@ -45,6 +49,7 @@
 namespace babol {
 
 class EventQueue;
+class SimContext;
 
 /**
  * Handle to a scheduled event; allows cancellation. Default-constructed
@@ -87,9 +92,20 @@ class EventHandle
 class EventQueue
 {
   public:
+    /** Bind the process default context. Defined beside SimContext
+     *  (obs/sim_context.cc), so a default-constructed queue needs
+     *  babol_obs at link time. */
     EventQueue();
+
+    /** Bind @p ctx: everything this queue's objects trace, meter, audit
+     *  and inject lands there. @p ctx must outlive the queue. */
+    explicit EventQueue(SimContext &ctx);
+
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
+
+    /** The simulation context this queue belongs to. */
+    SimContext &context() const { return *ctx_; }
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -325,6 +341,7 @@ class EventQueue
         maybeCompact();
     }
 
+    SimContext *ctx_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t scheduledCount_ = 0;

@@ -8,9 +8,9 @@
  * Members are assigned to OS threads by the fixed mapping
  * member m -> thread (m mod T), and every member on a thread runs
  * sequentially to completion, so per-member results are independent of
- * the thread count. Isolation is the member job's responsibility: build
- * the whole member (queue, device, workload) inside the job, inside a
- * scoped obs::ExecContext with a private metrics registry, so nothing
+ * the thread count. Isolation is the member job's responsibility: give
+ * each member its own SimContext and build the whole member (queue
+ * bound to that context, device, workload) inside the job, so nothing
  * but the global label interner (thread-safe) is shared.
  */
 

@@ -11,6 +11,7 @@
 #define BABOL_SIM_RANDOM_HH
 
 #include <cstdint>
+#include <mutex>
 #include <random>
 
 namespace babol {
@@ -47,6 +48,11 @@ class Rng
             return 0;
         if (p >= 1.0)
             return n;
+        // libstdc++'s binomial sampler calls lgamma(), which writes the
+        // C library's global signgam: fleet members drawing on several
+        // threads would race on it, so draws are serialized.
+        static std::mutex lgammaMu;
+        std::lock_guard<std::mutex> lk(lgammaMu);
         std::binomial_distribution<std::uint64_t> d(n, p);
         return d(gen_);
     }

@@ -13,15 +13,10 @@ Ssd::Ssd(EventQueue &eq, const std::string &name, SsdConfig cfg)
     babol_assert(cfg_.channels >= 1 && cfg_.channels <= 16,
                  "SSD supports 1..16 channels, got %u", cfg_.channels);
 
-    if (!cfg_.channel.package.faults) {
-        faultsOwned_ = std::make_unique<fault::FaultEngine>();
-        cfg_.channel.package.faults = faultsOwned_.get();
-    }
     hop_ = interconnectHop(cfg_.channel.package.timing);
 
     dram_ = std::make_unique<dram::DramBuffer>(
-        eq, name + ".dram", cfg_.dramBytes, 1600.0, 200 * ticks::perNs,
-        cfg_.channel.package.power);
+        eq, name + ".dram", cfg_.dramBytes, 1600.0, 200 * ticks::perNs);
 
     for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) {
         core::ChannelConfig ccfg = cfg_.channel;

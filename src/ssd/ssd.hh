@@ -52,14 +52,6 @@ class Ssd : public SimObject, public core::FlashBackend
     core::ChannelSystem &channelSystem(std::uint32_t ch);
     core::ChannelController &controller(std::uint32_t ch);
 
-    /** This device's fault engine — arm campaigns here, not on the
-     *  process default (the device wires its own unless the config
-     *  already carries one). */
-    fault::FaultEngine &faults() const
-    {
-        return fault::engineOf(cfg_.channel.package.faults);
-    }
-
     // --- FlashBackend ---
     void submit(core::FlashRequest req) override;
     std::uint32_t backendChipCount() const override
@@ -71,7 +63,10 @@ class Ssd : public SimObject, public core::FlashBackend
         return cfg_.channel.package.geometry;
     }
     dram::DramBuffer &backendDram() override { return *dram_; }
-    fault::FaultEngine &backendFaults() override { return faults(); }
+    fault::FaultEngine &backendFaults() override
+    {
+        return eq_.context().faults;
+    }
     std::string backendChipName(std::uint32_t chip) const override
     {
         const std::uint32_t ways = cfg_.channel.chips;
@@ -86,9 +81,6 @@ class Ssd : public SimObject, public core::FlashBackend
 
   private:
     SsdConfig cfg_;
-
-    /** Owned engine when the config wired none (destroyed last). */
-    std::unique_ptr<fault::FaultEngine> faultsOwned_;
 
     /** Host<->channel interconnect hop (ssd/lookahead.hh). */
     Tick hop_ = 0;

@@ -14,12 +14,10 @@
 #include <cstring>
 
 #include "chan/bus.hh"
-#include "fault/fault_engine.hh"
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
 #include "nand/param_page.hh"
-#include "obs/audit/auditor.hh"
-#include "obs/hub.hh"
+#include "obs/sim_context.hh"
 #include "sim/stats.hh"
 #include "ssd/ssd.hh"
 
@@ -32,54 +30,33 @@ namespace audit = babol::obs::audit;
 namespace {
 
 /**
- * The auditor and the trace ring are process-wide; every test arms the
- * collector mode (diagnostics gathered, nothing thrown) and teardown
- * restores whatever BABOL_AUDIT asked for so the rest of the binary
- * keeps its sanitizer semantics.
+ * Every test runs on its own SimContext, armed in collector mode
+ * (diagnostics gathered, nothing thrown), so no auditor, trace or fault
+ * state outlives it.
  */
 class AuditTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        prevTraceEnabled_ = obs::trace().enabled();
-        obs::trace().clear();
-        armCollector();
-    }
+    void SetUp() override { armCollector(); }
 
     void
-    TearDown() override
-    {
-        auto &aud = audit::Auditor::instance();
-        const char *env = std::getenv("BABOL_AUDIT");
-        if (env && *env && std::strcmp(env, "0") != 0)
-            aud.arm(); // back to the env-requested sanitizer default
-        else
-            aud.disarm();
-        obs::trace().setCapacity(obs::TraceRecorder::kDefaultCapacity);
-        obs::trace().setEnabled(prevTraceEnabled_);
-        obs::trace().clear();
-    }
-
-    static void
     armCollector(std::optional<TimingParams> datasheet = std::nullopt)
     {
         audit::Auditor::Config cfg;
         cfg.throwOnDiagnostic = false;
         cfg.enableTrace = true;
         cfg.datasheet = datasheet;
-        audit::Auditor::instance().arm(cfg);
+        ctx.audit.arm(cfg);
     }
 
-    static const std::vector<audit::Diagnostic> &
-    diags()
+    const std::vector<audit::Diagnostic> &
+    diags() const
     {
-        return audit::Auditor::instance().diagnostics();
+        return ctx.audit.diagnostics();
     }
 
-    static std::size_t
-    countRule(const std::string &rule)
+    std::size_t
+    countRule(const std::string &rule) const
     {
         std::size_t n = 0;
         for (const audit::Diagnostic &d : diags())
@@ -88,8 +65,8 @@ class AuditTest : public ::testing::Test
         return n;
     }
 
-    static const audit::Diagnostic *
-    firstOf(const std::string &rule)
+    const audit::Diagnostic *
+    firstOf(const std::string &rule) const
     {
         for (const audit::Diagnostic &d : diags())
             if (d.rule == rule)
@@ -97,8 +74,7 @@ class AuditTest : public ::testing::Test
         return nullptr;
     }
 
-  private:
-    bool prevTraceEnabled_ = false;
+    SimContext ctx;
 };
 
 /** One chip on one bus in NV-DDR2, timing configurable per test. */
@@ -109,7 +85,8 @@ struct AuditRig
     std::unique_ptr<Package> pkg;
     std::unique_ptr<ChannelBus> bus;
 
-    explicit AuditRig(PackageConfig c = hynixPackage()) : cfg(std::move(c))
+    explicit AuditRig(SimContext &ctx, PackageConfig c = hynixPackage())
+        : eq(ctx), cfg(std::move(c))
     {
         bus = std::make_unique<ChannelBus>(eq, "bus", cfg.timing, 200);
         pkg = std::make_unique<Package>(eq, "pkg", cfg, 42);
@@ -172,7 +149,7 @@ struct AuditRig
 
 TEST_F(AuditTest, LunBusyGuardReportsDiagnosticWithSpanContext)
 {
-    AuditRig rig;
+    AuditRig rig(ctx);
     rig.run(rig.readLatch(0, 0));
     // A second READ dialog while the array is busy: illegal, and the
     // guard that used to panic now files a structured diagnostic.
@@ -192,7 +169,7 @@ TEST_F(AuditTest, LunBusyGuardReportsDiagnosticWithSpanContext)
 
 TEST_F(AuditTest, TadlViolationCaughtAtBothBusAndLunLayers)
 {
-    AuditRig rig;
+    AuditRig rig(ctx);
     Segment seg;
     seg.label = "program.bad";
     seg.items.push_back(SegmentItem::command(opcode::kProgram1));
@@ -234,7 +211,7 @@ TEST_F(AuditTest, ShortenedTwbCaughtAgainstDatasheetWithFlightDump)
     doctored.timing.tWb = 1_ns;
     armCollector(hynixPackage().timing);
 
-    AuditRig rig(doctored);
+    AuditRig rig(ctx, doctored);
     rig.run(rig.readLatch(0, 0)); // postDelay = doctored 1 ns tWB
     rig.pollReady();
 
@@ -267,17 +244,17 @@ TEST_F(AuditTest, FaultExpectedViolationIsSuppressedNotDoubleReported)
     spec.extraBusy = 100 * ticks::perUs;
     spec.suppressTicks = 50 * ticks::perMs;
     plan.faults.push_back(spec);
-    fault::engine().arm(plan);
+    ctx.faults.arm(plan);
 
     // Sanitizer semantics: any unsuppressed diagnostic must panic.
     audit::Auditor::Config cfg;
     cfg.throwOnDiagnostic = true;
     cfg.enableTrace = true;
-    audit::Auditor::instance().arm(cfg);
+    ctx.audit.arm(cfg);
 
-    AuditRig rig;
+    AuditRig rig(ctx);
     rig.run(rig.readLatch(0, 0)); // strikes: array op overruns by 100 us
-    ASSERT_EQ(fault::engine().injectedTotal(), 1u);
+    ASSERT_EQ(ctx.faults.injectedTotal(), 1u);
 
     // Illegal second READ dialog while the (faulted) array is busy.
     // The guard fires exactly once, tagged fault-expected — no panic,
@@ -287,22 +264,21 @@ TEST_F(AuditTest, FaultExpectedViolationIsSuppressedNotDoubleReported)
     ASSERT_GE(countRule("lun.busy"), 1u);
     for (const audit::Diagnostic &d : diags())
         EXPECT_TRUE(d.suppressed) << d.rule << ": " << d.message;
-    EXPECT_GE(fault::engine().suppressedViolations(), 1u);
-    EXPECT_EQ(audit::Auditor::instance().unsuppressedCount(), 0u);
+    EXPECT_GE(ctx.faults.suppressedViolations(), 1u);
+    EXPECT_EQ(ctx.audit.unsuppressedCount(), 0u);
 
-    fault::engine().disarm();
 }
 
 TEST_F(AuditTest, ViolationOutsideTheFaultWindowStillPanics)
 {
-    fault::engine().disarm(); // no campaign: full sanitizer semantics
+    // No campaign on this test's context: full sanitizer semantics.
 
     audit::Auditor::Config cfg;
     cfg.throwOnDiagnostic = true;
     cfg.enableTrace = true;
-    audit::Auditor::instance().arm(cfg);
+    ctx.audit.arm(cfg);
 
-    AuditRig rig;
+    AuditRig rig(ctx);
     rig.run(rig.readLatch(0, 0));
     EXPECT_THROW(rig.run(rig.readLatch(0, 1)), SimPanic);
 }
@@ -313,7 +289,7 @@ TEST_F(AuditTest, ViolationOutsideTheFaultWindowStillPanics)
 
 TEST_F(AuditTest, DoubleDriveReportedInsteadOfPanic)
 {
-    AuditRig rig;
+    AuditRig rig(ctx);
     Segment a;
     a.label = "status.a";
     a.items.push_back(SegmentItem::command(opcode::kReadStatus));
@@ -335,7 +311,7 @@ TEST_F(AuditTest, DoubleDriveReportedInsteadOfPanic)
 
 TEST_F(AuditTest, StarvationBoundFlagsLongFifoWaits)
 {
-    auto &aud = audit::Auditor::instance();
+    auto &aud = ctx.audit;
     const Tick bound = aud.config().starvationBound;
     aud.tapFifoWait("eu0", "READ", 30 * ticks::perMs, bound);
     EXPECT_EQ(countRule("chan.starvation"), 0u); // at the bound: fine
@@ -350,20 +326,20 @@ TEST_F(AuditTest, StarvationBoundFlagsLongFifoWaits)
 
 TEST_F(AuditTest, ConservationAcceptsWellFormedSpans)
 {
-    auto &tr = obs::trace();
+    auto &tr = ctx.trace;
     obs::Interner &in = tr.interner();
     const std::uint32_t track = in.intern("ctrl");
     obs::SpanId op = tr.beginSpan(track, in.intern("op.read"), 1000);
     tr.complete(track, in.intern("READ.seg"), 1100, 1200, op);
     tr.endSpan(op, 1300);
 
-    audit::Auditor::instance().finish();
+    ctx.audit.finish();
     EXPECT_TRUE(diags().empty());
 }
 
 TEST_F(AuditTest, ConservationDetectsLeakedAndMalformedSpans)
 {
-    auto &tr = obs::trace();
+    auto &tr = ctx.trace;
     obs::Interner &in = tr.interner();
     const std::uint32_t track = in.intern("ctrl");
 
@@ -378,7 +354,7 @@ TEST_F(AuditTest, ConservationDetectsLeakedAndMalformedSpans)
     // An END with no matching BEGIN anywhere in the window.
     tr.endSpan(0xFEEDFACE, 2600);
 
-    audit::Auditor::instance().finish();
+    ctx.audit.finish();
     EXPECT_EQ(countRule("op.no-segment"), 2u); // no_seg and neg
     EXPECT_EQ(countRule("span.never-closed"), 1u);
     EXPECT_EQ(countRule("span.negative"), 1u);
@@ -389,7 +365,7 @@ TEST_F(AuditTest, ConservationDetectsLeakedAndMalformedSpans)
 
 TEST_F(AuditTest, ConservationSkippedWhenRingWrapped)
 {
-    auto &tr = obs::trace();
+    auto &tr = ctx.trace;
     tr.setCapacity(8);
     obs::Interner &in = tr.interner();
     const std::uint32_t track = in.intern("ctrl");
@@ -401,12 +377,12 @@ TEST_F(AuditTest, ConservationSkippedWhenRingWrapped)
     ASSERT_GT(tr.droppedRecords(), 0u);
 
     // Accounting over a partial window would only produce noise.
-    audit::Auditor::instance().finish();
+    ctx.audit.finish();
     EXPECT_TRUE(diags().empty());
 
     // Flight dumps still work on the wrapped ring — and say what is
     // missing instead of silently truncating.
-    auto &aud = audit::Auditor::instance();
+    auto &aud = ctx.audit;
     aud.tapFifoWait("eu0", "READ", 0, aud.config().starvationBound + 1_us);
     ASSERT_EQ(diags().size(), 1u);
     EXPECT_NE(diags().front().flight.find("earlier record(s) not shown"),
@@ -443,15 +419,15 @@ TEST_F(AuditTest, CustomRuleSeesEveryExecutedSegment)
     rule->count = &count;
     rule->lastLabel = &last_label;
     rule->lastCycles = &last_cycles;
-    audit::Auditor::instance().addRule(std::move(rule));
+    ctx.audit.addRule(std::move(rule));
 
-    AuditRig rig;
+    AuditRig rig(ctx);
     rig.run(rig.readLatch(0, 0));
     EXPECT_EQ(count, 1);
     EXPECT_EQ(last_label, "read.ca");
     // CMD 00h + row/col address cycles + CMD 30h.
     EXPECT_GE(last_cycles, 3u);
-    EXPECT_EQ(audit::Auditor::instance().segmentsAudited(),
+    EXPECT_EQ(ctx.audit.segmentsAudited(),
               static_cast<std::uint64_t>(count));
     EXPECT_TRUE(diags().empty());
 }
@@ -463,10 +439,13 @@ TEST_F(AuditTest, CustomRuleSeesEveryExecutedSegment)
 TEST_F(AuditTest, SeededFourChannelDeviceAuditsCleanAndDeterministically)
 {
     auto run_once = [] {
-        armCollector();
-        obs::trace().clear();
+        SimContext run_ctx;
+        audit::Auditor::Config acfg;
+        acfg.throwOnDiagnostic = false;
+        acfg.enableTrace = true;
+        run_ctx.audit.arm(acfg);
 
-        EventQueue eq;
+        EventQueue eq(run_ctx);
         ssd::SsdConfig cfg;
         cfg.channels = 4;
         cfg.flavor = "coro";
@@ -504,7 +483,7 @@ TEST_F(AuditTest, SeededFourChannelDeviceAuditsCleanAndDeterministically)
         EXPECT_TRUE(done);
         EXPECT_EQ(engine.errors(), 0u);
 
-        auto &aud = audit::Auditor::instance();
+        auto &aud = run_ctx.audit;
         aud.finish();
         return std::make_pair(aud.segmentsAudited(),
                               aud.diagnostics().size());

@@ -15,14 +15,21 @@
 #include "core/coro/coro_controller.hh"
 #include "core/hw/hw_controller.hh"
 #include "core/rtos_env/rtos_controller.hh"
-#include "fault/fault_engine.hh"
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
+#include "obs/sim_context.hh"
 
 using namespace babol;
 using namespace babol::core;
 
 namespace {
+
+/** The engine the tests' default-constructed queues reach. */
+fault::FaultEngine &
+faults()
+{
+    return SimContext::processDefault().faults;
+}
 
 // ---------------------------------------------------------------------
 // Plan parsing
@@ -152,7 +159,7 @@ class FaultRecoveryTest : public testing::TestWithParam<Flavor>
     void
     SetUp() override
     {
-        fault::engine().disarm();
+        faults().disarm();
         ChannelConfig cfg;
         cfg.package = nand::hynixPackage();
         cfg.chips = 2;
@@ -180,7 +187,7 @@ class FaultRecoveryTest : public testing::TestWithParam<Flavor>
         }
     }
 
-    void TearDown() override { fault::engine().disarm(); }
+    void TearDown() override { faults().disarm(); }
 
     bool
     isHardware() const
@@ -209,7 +216,7 @@ class FaultRecoveryTest : public testing::TestWithParam<Flavor>
     void
     prepPage(std::uint32_t chip, std::uint32_t block, std::uint32_t page)
     {
-        babol_assert(!fault::engine().armed(), "prep must run clean");
+        babol_assert(!faults().armed(), "prep must run clean");
         FlashRequest erase;
         erase.kind = FlashOpKind::Erase;
         erase.chip = chip;
@@ -236,7 +243,7 @@ class FaultRecoveryTest : public testing::TestWithParam<Flavor>
         fault::FaultPlan plan;
         plan.seed = seed;
         plan.faults.push_back(std::move(spec));
-        fault::engine().arm(plan);
+        faults().arm(plan);
     }
 
     FlashRequest
@@ -268,8 +275,8 @@ TEST_P(FaultRecoveryTest, BitBurstRecoveredByReadRetry)
     OpResult r = runOne(readReq(1, 3, 0));
     EXPECT_TRUE(r.ok);
     EXPECT_GE(r.retries, 1u) << "burst should have forced a retry";
-    EXPECT_EQ(fault::engine().injectedOf(fault::FaultKind::BitBurst), 1u);
-    EXPECT_GE(fault::engine().retrySteps(), 1u);
+    EXPECT_EQ(faults().injectedOf(fault::FaultKind::BitBurst), 1u);
+    EXPECT_GE(faults().retrySteps(), 1u);
 }
 
 TEST_P(FaultRecoveryTest, DriftNeedsTheSpecifiedRetryLevel)
@@ -286,7 +293,7 @@ TEST_P(FaultRecoveryTest, DriftNeedsTheSpecifiedRetryLevel)
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.retries, 2u)
         << "drift clears only at retry level 2, not before";
-    EXPECT_EQ(fault::engine().injectedOf(fault::FaultKind::Drift), 1u);
+    EXPECT_EQ(faults().injectedOf(fault::FaultKind::Drift), 1u);
 }
 
 TEST_P(FaultRecoveryTest, ProgramFailRaisesTheFailBit)
@@ -306,7 +313,7 @@ TEST_P(FaultRecoveryTest, ProgramFailRaisesTheFailBit)
     OpResult r = runOne(std::move(prog));
     EXPECT_FALSE(r.ok);
     EXPECT_TRUE(r.flashFail);
-    EXPECT_EQ(fault::engine().injectedOf(fault::FaultKind::ProgFail), 1u);
+    EXPECT_EQ(faults().injectedOf(fault::FaultKind::ProgFail), 1u);
 
     // The failed page was never committed: programming it again after
     // the fault clears succeeds (the plan's single firing is spent).
@@ -335,7 +342,7 @@ TEST_P(FaultRecoveryTest, EraseFailRaisesTheFailBit)
     OpResult r = runOne(std::move(erase));
     EXPECT_FALSE(r.ok);
     EXPECT_TRUE(r.flashFail);
-    EXPECT_EQ(fault::engine().injectedOf(fault::FaultKind::EraseFail),
+    EXPECT_EQ(faults().injectedOf(fault::FaultKind::EraseFail),
               1u);
 }
 
@@ -353,7 +360,7 @@ TEST_P(FaultRecoveryTest, StuckBusyWithinBudgetCompletesLate)
     EXPECT_TRUE(r.ok);
     EXPECT_FALSE(r.timedOut);
     EXPECT_GE(r.doneTick - r.startTick, 400 * ticks::perUs);
-    EXPECT_EQ(fault::engine().timeouts(), 0u);
+    EXPECT_EQ(faults().timeouts(), 0u);
 }
 
 TEST_P(FaultRecoveryTest, StuckBusyBeyondBudgetTimesOutSoftFlavors)
@@ -375,7 +382,7 @@ TEST_P(FaultRecoveryTest, StuckBusyBeyondBudgetTimesOutSoftFlavors)
     } else {
         EXPECT_FALSE(r.ok);
         EXPECT_TRUE(r.timedOut);
-        EXPECT_EQ(fault::engine().timeouts(), 1u);
+        EXPECT_EQ(faults().timeouts(), 1u);
     }
 }
 
@@ -458,21 +465,21 @@ TEST(FaultFtl, ProgramFailIsRemappedAndTheWriteStillSucceeds)
     spec.kind = fault::FaultKind::ProgFail;
     spec.nth = 3;
     plan.faults.push_back(spec);
-    fault::engine().arm(plan);
+    faults().arm(plan);
 
     FaultedSsdRig rig;
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
         EXPECT_TRUE(rig.writeOne(lpn)) << "lpn " << lpn;
 
-    EXPECT_EQ(fault::engine().injectedOf(fault::FaultKind::ProgFail), 1u);
+    EXPECT_EQ(faults().injectedOf(fault::FaultKind::ProgFail), 1u);
     EXPECT_GE(rig.ftl.blocksRetired(), 1u);
-    EXPECT_GE(fault::engine().remaps(), 1u);
+    EXPECT_GE(faults().remaps(), 1u);
     EXPECT_FALSE(rig.ftl.exportGrownDefects().empty());
 
     // Every page written through the failure reads back fine.
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
         EXPECT_TRUE(rig.readOne(lpn)) << "lpn " << lpn;
-    fault::engine().disarm();
+    faults().disarm();
 }
 
 TEST(FaultFtl, GrownDefectsPersistAcrossRemount)
@@ -484,14 +491,14 @@ TEST(FaultFtl, GrownDefectsPersistAcrossRemount)
     spec.nth = 1;
     spec.count = 2;
     plan.faults.push_back(spec);
-    fault::engine().arm(plan);
+    faults().arm(plan);
 
     FaultedSsdRig rig;
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
         EXPECT_TRUE(rig.writeOne(lpn));
     std::vector<ftl::GrownDefect> table = rig.ftl.exportGrownDefects();
     ASSERT_FALSE(table.empty());
-    fault::engine().disarm();
+    faults().disarm();
 
     // Remount: a fresh world over the SAME cells — no side-channel, the
     // defect table has to come back from the OOB journal alone.
@@ -532,7 +539,7 @@ runCampaign()
         fault drift     where=pkg3 nth=2 level=2
         fault stuckbusy where=pkg3 nth=5 extra_us=100
     )");
-    fault::engine().arm(plan);
+    faults().arm(plan);
 
     EventQueue eq;
     ChannelConfig cfg;
@@ -572,8 +579,8 @@ runCampaign()
     EXPECT_TRUE(done);
     EXPECT_EQ(engine.errors(), 0u) << "recovery paths left host errors";
 
-    std::vector<std::string> log = fault::engine().log();
-    fault::engine().disarm();
+    std::vector<std::string> log = faults().log();
+    faults().disarm();
     return log;
 }
 

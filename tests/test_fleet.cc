@@ -1,8 +1,8 @@
 /**
  * @file
  * Fleet mode, the simulator's parallel tier: deterministic member
- * seeds, members isolated in private obs contexts with results that do
- * not depend on the thread count, and the lowest failing member's
+ * seeds, members isolated in their own SimContexts with results that
+ * do not depend on the thread count, and the lowest failing member's
  * exception rethrown on the caller.
  */
 
@@ -11,8 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/hub.hh"
-#include "sim/event_queue.hh"
+#include "obs/sim_context.hh"
 #include "sim/fleet.hh"
 
 using namespace babol;
@@ -34,16 +33,13 @@ TEST(FleetEngine, MembersRunIsolatedAndThreadCountInvariant)
         // would share a word.
         std::vector<char> isolated(4, 0);
         sim::FleetEngine::run(4, threads, [&](std::size_t m) {
-            obs::ExecContext ctx(obs::interner(),
-                                 static_cast<std::uint32_t>(m));
-            obs::ScopedExecContext scope(&ctx);
-            // The member's obs helpers resolve to its private registry,
-            // never the process one.
-            isolated[m] = &obs::metrics() != &obs::hub().metrics();
-
-            EventQueue eq;
+            SimContext ctx(SimContext::processDefault(),
+                           static_cast<std::uint32_t>(m));
+            EventQueue eq(ctx);
             const std::uint64_t seed = sim::FleetEngine::memberSeed(7, m);
             std::uint64_t sum = 0;
+            obs::MetricsGroup group(eq.context().metrics, "member");
+            group.value("sum", [&sum] { return sum; });
             for (int i = 0; i < 100; ++i) {
                 eq.scheduleIn(Tick(i + 1),
                               [&sum, seed, i] {
@@ -53,6 +49,14 @@ TEST(FleetEngine, MembersRunIsolatedAndThreadCountInvariant)
             }
             eq.run();
             sums[m] = sum;
+            // The member's metric lives in its own registry only, and
+            // its spans carry its own namespace.
+            const std::uint64_t span = eq.context().trace.nextSpanId();
+            isolated[m] =
+                ctx.metrics.snapshot().scalar("member.sum") == sum &&
+                !SimContext::processDefault().metrics.snapshot().findScalar(
+                    "member.sum") &&
+                (span >> obs::kSpanMemberShift) == m;
         });
         for (char iso : isolated)
             EXPECT_TRUE(iso);

@@ -9,7 +9,7 @@
  * cells on a multi-channel device.
  *
  * Runs in its own binary (ctest label `ftl`): the grown-defect test
- * arms the process-wide fault engine.
+ * arms the default context's fault engine.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "core/hw/hw_controller.hh"
-#include "fault/fault_engine.hh"
 #include "ftl/ftl.hh"
 #include "ftl/oob.hh"
+#include "obs/sim_context.hh"
 #include "ssd/ssd.hh"
 
 using namespace babol;
@@ -247,14 +247,15 @@ TEST(FtlRecovery, GrownDefectTableRebuiltFromOobJournalAlone)
     spec.kind = fault::FaultKind::ProgFail;
     spec.nth = 4;
     plan.faults.push_back(spec);
-    fault::engine().arm(plan);
+    fault::FaultEngine &faults = SimContext::processDefault().faults;
+    faults.arm(plan);
 
     RecoveryRig rig;
     for (std::uint64_t lpn = 0; lpn < 10; ++lpn)
         ASSERT_TRUE(rig.writeGen(lpn, 1));
     std::vector<ftl::GrownDefect> table = rig.ftl.exportGrownDefects();
     ASSERT_FALSE(table.empty());
-    fault::engine().disarm();
+    faults.disarm();
 
     // The next boot has no side channel: the retirement must come back
     // from the OOB journal entry that rode a later program.

@@ -6,7 +6,7 @@
  * tenant token-bucket throttling, and the p999 SLO plumbing.
  *
  * Runs in its own binary (babol_host_tests): the replay-sequence test
- * toggles the process-wide trace recorder.
+ * toggles the default context's trace recorder.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "host/nvme/client.hh"
 #include "host/replay/replay.hh"
+#include "obs/sim_context.hh"
 #include "ssd/ssd.hh"
 
 using namespace babol;
@@ -261,9 +262,10 @@ TEST(Replay, SequenceExactlyMatchesTrace)
     auto ops = replay::parseTrace(in, "inline");
     ASSERT_EQ(ops.size(), 7u);
 
-    const bool was_enabled = obs::trace().enabled();
-    obs::trace().setEnabled(true);
-    obs::trace().clear();
+    obs::TraceRecorder &tr = SimContext::processDefault().trace;
+    const bool was_enabled = tr.enabled();
+    tr.setEnabled(true);
+    tr.clear();
 
     {
         NvmeRig rig;
@@ -283,13 +285,13 @@ TEST(Replay, SequenceExactlyMatchesTrace)
     const std::uint32_t track = obs::interner().intern("replay");
     const std::uint32_t label = obs::interner().intern("replay.submit");
     std::vector<std::uint64_t> markers;
-    obs::trace().forEach([&](std::uint64_t, const obs::TraceRecord &r) {
+    tr.forEach([&](std::uint64_t, const obs::TraceRecord &r) {
         if (r.kind == obs::RecKind::Instant && r.track == track &&
             r.label == label)
             markers.push_back(r.arg);
     });
-    obs::trace().clear();
-    obs::trace().setEnabled(was_enabled);
+    tr.clear();
+    tr.setEnabled(was_enabled);
 
     ASSERT_EQ(markers.size(), ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -313,6 +315,14 @@ TEST(Replay, ParserRejectsMalformedTraces)
     EXPECT_THROW(parse("0.0 R\n"), SimFatal);            // truncated
     EXPECT_THROW(parse("0.0 R 10 1 junk\n"), SimFatal);  // trailing junk
     EXPECT_THROW(parse("# only comments\n"), SimFatal);  // empty trace
+    EXPECT_THROW(parse("0 R -1 8\n"), SimFatal);        // signed lba
+    EXPECT_THROW(parse("0 R 12abc 8\n"), SimFatal);     // junk lba
+    EXPECT_THROW(parse("0 R 18446744073709551616 8\n"), // lba > 2^64-1
+                 SimFatal);
+    EXPECT_THROW(parse("0 R 5 -8\n"), SimFatal);        // signed length
+    EXPECT_THROW(parse("0 R 5 1048577\n"), SimFatal);   // length > 2^20
+    EXPECT_THROW(parse("1e300 R 5 8\n"), SimFatal);     // tick overflow
+    EXPECT_THROW(parse("nan R 5 8\n"), SimFatal);       // not a time
     EXPECT_THROW(replay::loadTraceFile("/nonexistent/trace.txt"),
                  SimFatal);
 }

@@ -18,8 +18,9 @@
 #include "core/hw/hw_controller.hh"
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
-#include "obs/hub.hh"
+#include "obs/cli.hh"
 #include "obs/perfetto.hh"
+#include "obs/sim_context.hh"
 
 using namespace babol;
 using namespace babol::core;
@@ -425,11 +426,10 @@ struct SpanRun
 static SpanRun
 runTracedFio()
 {
-    obs::hub().reset();
-
+    SimContext ctx;
     SpanRun out;
     {
-        EventQueue eq;
+        EventQueue eq(ctx);
         ChannelConfig ccfg;
         ccfg.package = nand::hynixPackage();
         ccfg.package.geometry.pagesPerBlock = 8;
@@ -449,7 +449,7 @@ runTracedFio()
         eq.run();
         EXPECT_TRUE(filled);
 
-        obs::trace().setEnabled(true); // trace only the READ phase
+        ctx.trace.setEnabled(true); // trace only the READ phase
 
         host::FioConfig io;
         io.pattern = host::FioConfig::Pattern::Random;
@@ -466,7 +466,7 @@ runTracedFio()
         EXPECT_EQ(reader.errors(), 0u);
     }
 
-    TraceRecorder &rec = obs::trace();
+    TraceRecorder &rec = ctx.trace;
     EXPECT_EQ(rec.droppedRecords(), 0u);
     const Interner &in = obs::interner();
     rec.forEach([&](std::uint64_t, const TraceRecord &r) {
@@ -495,7 +495,6 @@ runTracedFio()
         row.t1 = r.t1;
         out.rows.push_back(row);
     }
-    obs::hub().reset();
     return out;
 }
 
@@ -590,7 +589,6 @@ TEST(SpanLifecycle, HostReadReconstructsAsNestedSpans)
 
 TEST(SpanLifecycle, PerfettoExportIsValidJson)
 {
-    obs::hub().reset();
     SpanRun run = runTracedFio();
 
     // Re-record the captured window into a private recorder so the
@@ -620,8 +618,8 @@ TEST(SpanLifecycle, PerfettoExportIsValidJson)
 
 TEST(BusTraceObs, RepeatLabelsInternOnceAndInstancesAreIsolated)
 {
-    obs::hub().reset();
-    chan::BusTrace t1("busA");
+    TraceRecorder ring(obs::interner());
+    chan::BusTrace t1(ring, "busA");
     t1.setEnabled(true);
     t1.record(0, 10, 1, "CMD 00h");
     std::size_t interned = obs::interner().size();
@@ -631,7 +629,7 @@ TEST(BusTraceObs, RepeatLabelsInternOnceAndInstancesAreIsolated)
     EXPECT_EQ(t1.eventCount(), 50u);
 
     // A second trace created later sees only its own records.
-    chan::BusTrace t2("busB");
+    chan::BusTrace t2(ring, "busB");
     t2.setEnabled(true);
     t2.record(0, 5, 1, "CMD 60h");
     EXPECT_EQ(t2.eventCount(), 1u);
@@ -642,7 +640,34 @@ TEST(BusTraceObs, RepeatLabelsInternOnceAndInstancesAreIsolated)
     t1.clear();
     EXPECT_EQ(t1.eventCount(), 0u);
     EXPECT_EQ(t2.eventCount(), 1u);
-    obs::hub().reset();
+}
+
+// ---------------------------------------------------------------------
+// Shared command-line flags
+// ---------------------------------------------------------------------
+
+TEST(ObsCli, PowerCapTakesOnlyAPositiveDecimal)
+{
+    auto parseCap = [](const char *value) {
+        std::string flag = "--power-cap", val = value;
+        char *argv[] = {flag.data(), flag.data(), val.data()};
+        obs::cli::Options opts;
+        int i = 1;
+        EXPECT_TRUE(opts.parse(3, argv, i));
+        EXPECT_EQ(i, 2);
+        return opts.powerCapMw;
+    };
+    EXPECT_EQ(parseCap("250"), 250u);
+    for (const char *bad : {"-5", "12abc", "0", "", "+7",
+                            "18446744073709551616"}) {
+        try {
+            parseCap(bad);
+            ADD_FAILURE() << "accepted --power-cap '" << bad << "'";
+        } catch (const SimFatal &e) {
+            EXPECT_NE(std::string(e.what()).find("--power-cap"),
+                      std::string::npos);
+        }
+    }
 }
 
 } // namespace

@@ -5,10 +5,8 @@
  * workload, the conservation invariant under a fault campaign, and
  * reproducible power-governor throttle windows.
  *
- * Runs in its own binary: the power model and the auditor are
- * process-wide singletons and meters latch the enabled flag at
- * construction, so isolating the suite keeps the core tests' obs
- * state untouched.
+ * Every test builds its own SimContext, so its power model, auditor
+ * and fault engine start fresh and see only its own meters.
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +17,9 @@
 
 #include "core/coro/coro_controller.hh"
 #include "core/rtos_env/rtos_controller.hh"
-#include "fault/fault_engine.hh"
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
-#include "obs/audit/auditor.hh"
-#include "obs/power/power.hh"
+#include "obs/sim_context.hh"
 
 using namespace babol;
 using namespace babol::core;
@@ -36,10 +32,11 @@ namespace {
 
 TEST(PowerMeter, IntegerFemtojouleArithmeticIsExact)
 {
-    obs::power::PowerModel pm;
+    SimContext ctx;
+    obs::power::PowerModel &pm = ctx.power;
     pm.enable();
-    EventQueue eq;
-    obs::power::Meter m(&pm, eq, "lun0", {"read", "program"}, 2);
+    EventQueue eq(ctx);
+    obs::power::Meter m(eq, "lun0", {"read", "program"}, 2);
     ASSERT_TRUE(m.enabled());
 
     m.charge(0, 1000, 3000, 80);  // 80 mW x 2000 ps = 160000 fJ
@@ -62,13 +59,14 @@ TEST(PowerMeter, IntegerFemtojouleArithmeticIsExact)
 
 TEST(PowerMeter, DisabledModelMetersAreInert)
 {
-    obs::power::PowerModel pm; // never enabled
-    EventQueue eq;
-    const std::size_t before = obs::metrics().size();
-    obs::power::Meter m(&pm, eq, "lun0", {"read"}, 1);
+    SimContext ctx; // power model never enabled
+    obs::power::PowerModel &pm = ctx.power;
+    EventQueue eq(ctx);
+    const std::size_t before = ctx.metrics.size();
+    obs::power::Meter m(eq, "lun0", {"read"}, 1);
     EXPECT_FALSE(m.enabled());
-    EXPECT_EQ(obs::metrics().size(), before) << "inert meters register "
-                                                "no metrics";
+    EXPECT_EQ(ctx.metrics.size(), before) << "inert meters register "
+                                             "no metrics";
     m.charge(0, 0, 5000, 80);
     EXPECT_EQ(m.activeFj(), 0u);
     EXPECT_EQ(m.idleFjAt(5000), 0u) << "disabled meters charge no idle";
@@ -77,11 +75,12 @@ TEST(PowerMeter, DisabledModelMetersAreInert)
 
 TEST(PowerMeter, RetiredEnergyStaysOnTheRail)
 {
-    obs::power::PowerModel pm;
+    SimContext ctx;
+    obs::power::PowerModel &pm = ctx.power;
     pm.enable();
-    EventQueue eq;
+    EventQueue eq(ctx);
     {
-        obs::power::Meter m(&pm, eq, "lun0", {"read"}, 1);
+        obs::power::Meter m(eq, "lun0", {"read"}, 1);
         m.charge(0, 0, 1000, 80);
     }
     EXPECT_EQ(pm.railTotalFj(), 80000u);
@@ -157,13 +156,13 @@ runSmallChannelWorkload(EventQueue &eq, ChannelSystem &sys,
 
 TEST(PowerRails, LunBusCpuAndDramAllAccumulate)
 {
-    obs::power::PowerModel pm;
+    SimContext ctx;
+    obs::power::PowerModel &pm = ctx.power;
     pm.enable();
 
-    EventQueue eq;
+    EventQueue eq(ctx);
     ChannelConfig cfg;
     cfg.package = nand::hynixPackage();
-    cfg.package.power = &pm;
     cfg.chips = 2;
     ChannelSystem sys(eq, "ssd", cfg);
     CoroController ctrl(eq, "ctrl", sys, SoftControllerConfig{});
@@ -198,7 +197,8 @@ TEST(PowerRails, LunBusCpuAndDramAllAccumulate)
 
 TEST(PowerConservation, HoldsUnderAFaultCampaign)
 {
-    obs::power::PowerModel pm;
+    SimContext ctx;
+    obs::power::PowerModel &pm = ctx.power;
     pm.enable();
 
     fault::FaultPlan plan = fault::parsePlan(R"(
@@ -209,13 +209,12 @@ TEST(PowerConservation, HoldsUnderAFaultCampaign)
         fault drift     where=pkg3 nth=2 level=2
         fault stuckbusy where=pkg3 nth=5 extra_us=100
     )");
-    fault::engine().arm(plan);
+    ctx.faults.arm(plan);
 
     {
-        EventQueue eq;
+        EventQueue eq(ctx);
         ChannelConfig cfg;
         cfg.package = nand::hynixPackage();
-        cfg.package.power = &pm;
         cfg.package.geometry.pagesPerBlock = 32;
         cfg.chips = 4;
         ChannelSystem sys(eq, "ssd", cfg);
@@ -250,7 +249,7 @@ TEST(PowerConservation, HoldsUnderAFaultCampaign)
         eq.run();
         ASSERT_TRUE(done);
         EXPECT_EQ(engine.errors(), 0u);
-        EXPECT_GT(fault::engine().injectedTotal(), 0u)
+        EXPECT_GT(ctx.faults.injectedTotal(), 0u)
             << "the campaign must actually fire";
 
         std::string detail;
@@ -262,7 +261,6 @@ TEST(PowerConservation, HoldsUnderAFaultCampaign)
     std::string detail;
     EXPECT_TRUE(pm.conservationOk(&detail)) << detail;
     EXPECT_EQ(pm.railTotalFj(), pm.retiredFj());
-    fault::engine().disarm();
 }
 
 // ---------------------------------------------------------------------
@@ -273,18 +271,16 @@ TEST(PowerConservation, HoldsUnderAFaultCampaign)
 using Windows = std::vector<std::pair<Tick, Tick>>;
 
 Windows
-runThrottledWorkload(Tick *throttled_ticks)
+runThrottledWorkload(SimContext &ctx, Tick *throttled_ticks)
 {
-    obs::power::PowerModel pm;
     obs::power::GovernorConfig g;
     g.capMw = 25; // well under a busy channel's mean power
-    pm.setGovernorConfig(g);
-    pm.enable();
+    ctx.power.setGovernorConfig(g);
+    ctx.power.enable();
 
-    EventQueue eq;
+    EventQueue eq(ctx);
     ChannelConfig cfg;
     cfg.package = nand::hynixPackage();
-    cfg.package.power = &pm;
     cfg.chips = 2;
     ChannelSystem sys(eq, "ssd", cfg);
     CoroController ctrl(eq, "ctrl", sys, SoftControllerConfig{});
@@ -301,8 +297,9 @@ runThrottledWorkload(Tick *throttled_ticks)
 TEST(PowerGovernorTest, ThrottleWindowsAreReproducibleAcrossReruns)
 {
     Tick ticksA = 0, ticksB = 0;
-    Windows a = runThrottledWorkload(&ticksA);
-    Windows b = runThrottledWorkload(&ticksB);
+    SimContext ctxA, ctxB;
+    Windows a = runThrottledWorkload(ctxA, &ticksA);
+    Windows b = runThrottledWorkload(ctxB, &ticksB);
 
     ASSERT_FALSE(a.empty()) << "the low cap must actually throttle";
     EXPECT_EQ(a, b) << "throttle placement is a pure function of the "
@@ -315,13 +312,12 @@ TEST(PowerGovernorTest, ThrottleWindowsAreReproducibleAcrossReruns)
 
 TEST(PowerGovernorTest, NoGovernorWithoutACap)
 {
-    obs::power::PowerModel pm;
-    pm.enable();
+    SimContext ctx;
+    ctx.power.enable();
 
-    EventQueue eq;
+    EventQueue eq(ctx);
     ChannelConfig cfg;
     cfg.package = nand::hynixPackage();
-    cfg.package.power = &pm;
     cfg.chips = 2;
     ChannelSystem sys(eq, "ssd", cfg);
     CoroController ctrl(eq, "ctrl", sys, SoftControllerConfig{});
@@ -334,21 +330,21 @@ TEST(PowerGovernorTest, NoGovernorWithoutACap)
 
 TEST(PowerAudit, GovernedRunPassesTheConservationRule)
 {
+    SimContext ctx;
     obs::audit::Auditor::Config acfg;
     acfg.throwOnDiagnostic = false;
     acfg.enableTrace = true;
-    obs::audit::Auditor::instance().arm(acfg);
+    ctx.audit.arm(acfg);
 
     Tick ticks = 0;
-    Windows w = runThrottledWorkload(&ticks);
+    Windows w = runThrottledWorkload(ctx, &ticks);
     EXPECT_FALSE(w.empty());
 
-    auto &aud = obs::audit::Auditor::instance();
+    auto &aud = ctx.audit;
     aud.finish();
     std::ostringstream os;
     aud.writeReport(os);
     EXPECT_EQ(aud.unsuppressedCount(), 0u) << os.str();
-    aud.disarm();
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,7 @@
  * the dead chip, and read back byte-identical.
  *
  * Runs in its own binary (ctest label `reliability`): the die-failure
- * test arms the process-wide fault engine.
+ * test arms the default context's fault engine.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "core/hw/hw_controller.hh"
-#include "fault/fault_engine.hh"
 #include "ftl/ftl.hh"
 #include "nand/flash_array.hh"
 #include "nand/timing.hh"
+#include "obs/sim_context.hh"
 #include "reliability/rain.hh"
 #include "reliability/scrub.hh"
 
@@ -132,7 +132,6 @@ struct ReliabilityRig
         cfg.package = nand::hynixPackage();
         cfg.package.geometry.pagesPerBlock = 8;
         cfg.package.geometry.blocksPerPlane = 32;
-        cfg.package.faults = &fault::engine();
         cfg.chips = chips;
         return cfg;
     }
@@ -245,7 +244,8 @@ TEST(Rain, DieFailureMidChurnLosesNothing)
 {
     fault::FaultPlan plan;
     plan.seed = 41;
-    fault::engine().arm(plan); // armed engine, no scheduled faults
+    fault::FaultEngine &faults = SimContext::processDefault().faults;
+    faults.arm(plan); // armed engine, no scheduled faults
 
     {
         ftl::FtlConfig fcfg;
@@ -267,10 +267,9 @@ TEST(Rain, DieFailureMidChurnLosesNothing)
             }
 
         // Kill chip 1 under the FTL's feet.
-        fault::engine().failDie(rig.ctrl.backendChipName(1),
-                                rig.eq.now());
+        faults.failDie(rig.ctrl.backendChipName(1), rig.eq.now());
         rig.ftl.markChipDead(1);
-        ASSERT_TRUE(fault::engine().dieDead("ssd.pkg1"));
+        ASSERT_TRUE(faults.dieDead("ssd.pkg1"));
 
         // Keep writing through the failure, then let the background
         // rebuild sweep drain.
@@ -299,7 +298,7 @@ TEST(Rain, DieFailureMidChurnLosesNothing)
         EXPECT_GT(rain.parityWrites(), 0u);
     }
 
-    fault::engine().disarm();
+    faults.disarm();
 }
 
 } // namespace
