@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared harness code for the paper-reproduction benches: controller
- * factories, channel preconditioning, and the FTL-injection read
- * workload of §VI ("we use a workload generator that injects requests
- * directly into the storage controllers as if they were coming from
- * the FTL").
+ * Shared harness code for the paper-reproduction benches: channel
+ * preconditioning and the FTL-injection read workload of §VI ("we use
+ * a workload generator that injects requests directly into the storage
+ * controllers as if they were coming from the FTL"). Controllers come
+ * from ssd::makeController.
  */
 
 #ifndef BABOL_BENCH_BENCH_COMMON_HH
@@ -17,6 +17,7 @@
 #include "core/hw/hw_controller.hh"
 #include "core/rtos_env/rtos_controller.hh"
 #include "sim/table.hh"
+#include "ssd/ssd.hh"
 
 namespace babol::bench {
 
@@ -26,27 +27,6 @@ using core::ChannelSystem;
 using core::FlashOpKind;
 using core::FlashRequest;
 using core::OpResult;
-
-/** Controller flavours the experiments compare. */
-inline std::unique_ptr<ChannelController>
-makeController(const std::string &flavor, EventQueue &eq,
-               ChannelSystem &sys, std::uint32_t cpu_mhz = 1000)
-{
-    core::SoftControllerConfig soft;
-    soft.cpuMhz = cpu_mhz;
-    if (flavor == "coro")
-        return std::make_unique<core::CoroController>(eq, "ctrl", sys,
-                                                      soft);
-    if (flavor == "rtos")
-        return std::make_unique<core::RtosController>(eq, "ctrl", sys,
-                                                      soft);
-    if (flavor == "hw" || flavor == "hw-async")
-        return std::make_unique<core::HwController>(eq, "ctrl", sys,
-                                                    false);
-    if (flavor == "hw-sync")
-        return std::make_unique<core::HwController>(eq, "ctrl", sys, true);
-    fatal("unknown controller flavor '%s'", flavor.c_str());
-}
 
 /** Run one request to completion on the shared event queue. */
 inline OpResult

@@ -34,7 +34,9 @@ run(nand::Vendor vendor, std::uint32_t rate_mt, const std::string &flavor,
     cfg.rateMT = rate_mt;
     cfg.seed = 17;
     ChannelSystem sys(eq, "ssd", cfg);
-    auto ctrl = makeController(flavor, eq, sys, cpu_mhz);
+    core::SoftControllerConfig soft;
+    soft.cpuMhz = cpu_mhz;
+    auto ctrl = ssd::makeController(eq, flavor, "ctrl", sys, soft);
     return runChannelReadWorkload(eq, sys, *ctrl, luns, 30);
 }
 

@@ -41,7 +41,7 @@ measure(const std::string &flavor)
     cfg.chips = 1;
     cfg.seed = 23;
     ChannelSystem sys(eq, "ssd", cfg);
-    auto ctrl = makeController(flavor, eq, sys, 1000);
+    auto ctrl = ssd::makeController(eq, flavor, "ctrl", sys);
 
     preconditionChannel(eq, sys, *ctrl, 1);
 

@@ -19,6 +19,7 @@
 #include "host/nvme/client.hh"
 #include "obs/cli.hh"
 #include "obs/sim_context.hh"
+#include "sim/parse.hh"
 #include "ssd/ssd.hh"
 
 using namespace babol;
@@ -51,7 +52,7 @@ runSsd(const std::string &flavor, std::uint32_t ways, bool random_pattern)
     cfg.rateMT = 200;
     cfg.seed = 5;
     ChannelSystem sys(eq, "ssd", cfg);
-    auto ctrl = makeController(flavor, eq, sys, 1000);
+    auto ctrl = ssd::makeController(eq, flavor, "ctrl", sys);
 
     ftl::FtlConfig fcfg;
     fcfg.blocksPerChip = 4;
@@ -229,7 +230,7 @@ main(int argc, char **argv)
         if (std::string(argv[i]) == "--csv")
             csv = true;
         if (std::string(argv[i]) == "--qpairs" && i + 1 < argc)
-            qpairs = std::strtoul(argv[++i], nullptr, 10);
+            qpairs = parseCountFlag("--qpairs", argv[++i], 0xFFFFFFFFu);
     }
     obs_opts.applyStartup();
 

@@ -337,7 +337,7 @@ runJPerIo(const std::string &flavor)
     bench::ChannelConfig cfg;
     cfg.chips = 4;
     bench::ChannelSystem sys(eq, "pwr", cfg);
-    auto ctrl = bench::makeController(flavor, eq, sys);
+    auto ctrl = ssd::makeController(eq, flavor, "ctrl", sys);
     bench::preconditionChannel(eq, sys, *ctrl, 8);
 
     const std::uint32_t luns = sys.chipCount();

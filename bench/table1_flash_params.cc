@@ -26,7 +26,7 @@ measureTransferUs(std::uint32_t rate_mt)
     cfg.chips = 1;
     cfg.rateMT = rate_mt;
     ChannelSystem sys(eq, "ssd", cfg);
-    auto ctrl = makeController("hw", eq, sys);
+    auto ctrl = ssd::makeController(eq, "hw", "ctrl", sys);
 
     preconditionChannel(eq, sys, *ctrl, 1);
 

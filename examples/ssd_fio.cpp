@@ -57,6 +57,9 @@
  * distinct status 4 on any acknowledged-data loss.
  * --reliability-out FILE appends one deterministic digest line per run
  * so CI can cmp reruns.
+ * Both campaigns run on the shared harness in src/campaign/: stamped
+ * (lpn, gen) payloads, the acked <= recovered <= issued ledger and its
+ * read-back check, and the FNV-1a digest.
  *
  * --qpairs N switches to the NVMe-style queued front end: a
  * multi-channel device reached through N submission/completion queue
@@ -82,9 +85,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/coro/coro_controller.hh"
-#include "core/hw/hw_controller.hh"
-#include "core/rtos_env/rtos_controller.hh"
+#include "campaign/rig.hh"
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
 #include "host/nvme/client.hh"
@@ -95,6 +96,7 @@
 #include "reliability/rain.hh"
 #include "reliability/scrub.hh"
 #include "sim/fleet.hh"
+#include "sim/parse.hh"
 #include "ssd/ssd.hh"
 
 using namespace babol;
@@ -116,25 +118,14 @@ struct MemberResult
     std::uint64_t injected = 0;
 };
 
+/** The demo's controller; a fault campaign arms a read-retry budget. */
 std::unique_ptr<ChannelController>
-makeController(EventQueue &eq, const std::string &flavor, ChannelSystem &sys,
+demoController(EventQueue &eq, const std::string &flavor, ChannelSystem &sys,
                bool campaign)
 {
-    SoftControllerConfig soft_cfg;
-    if (campaign)
-        soft_cfg.maxReadRetries = 4;
-    if (flavor == "coro")
-        return std::make_unique<CoroController>(eq, "ctrl", sys, soft_cfg);
-    if (flavor == "rtos")
-        return std::make_unique<RtosController>(eq, "ctrl", sys, soft_cfg);
-    if (flavor == "hw") {
-        auto hw = std::make_unique<HwController>(eq, "ctrl", sys, false);
-        if (campaign)
-            hw->setMaxReadRetries(4);
-        return hw;
-    }
-    fatal("usage: ssd_fio [coro|rtos|hw]");
-    return nullptr;
+    SoftControllerConfig soft;
+    soft.maxReadRetries = campaign ? 4 : 0;
+    return ssd::makeController(eq, flavor, "ctrl", sys, soft);
 }
 
 /** One fleet member, built and run entirely on the member's own
@@ -154,7 +145,7 @@ runMember(SimContext &ctx, const std::string &flavor,
     cfg.rateMT = 200;
     cfg.seed = seed;
     ChannelSystem sys(eq, "ssd", cfg);
-    auto ctrl = makeController(eq, flavor, sys, plan != nullptr);
+    auto ctrl = demoController(eq, flavor, sys, plan != nullptr);
 
     ftl::FtlConfig fcfg;
     fcfg.blocksPerChip = 4;
@@ -401,290 +392,26 @@ runNvme(const std::string &flavor, std::uint32_t qpairs,
 // Crash / remount campaign
 // ---------------------------------------------------------------------
 
-/** splitmix64 finalizer: the keyed byte-stream generator behind the
- *  stamped data patterns. */
-std::uint64_t
-mix64(std::uint64_t x)
+/** The crash campaign's device: four rig chips with the write buffer
+ *  and static wear levelling on, so the campaign exercises both. */
+std::unique_ptr<campaign::Rig>
+crashRig(const std::string &flavor)
 {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-/** Fill @p page with the deterministic pattern of (lpn, gen): a 16-byte
- *  header (magic, lpn, gen) followed by a keyed stream, so a recovered
- *  page proves exactly which write generation it holds. */
-void
-stampPattern(std::vector<std::uint8_t> &page, std::uint64_t lpn,
-             std::uint64_t gen)
-{
-    page[0] = 0xB0;
-    page[1] = 0xB0;
-    page[2] = 0x7E;
-    page[3] = 0x57;
-    for (int i = 0; i < 4; ++i)
-        page[4 + i] = static_cast<std::uint8_t>(lpn >> (8 * i));
-    for (int i = 0; i < 8; ++i)
-        page[8 + i] = static_cast<std::uint8_t>(gen >> (8 * i));
-    std::uint64_t s = mix64(lpn * 0x10001u + gen);
-    for (std::size_t off = 16; off < page.size(); off += 8) {
-        s = mix64(s);
-        for (std::size_t i = 0; i < 8 && off + i < page.size(); ++i)
-            page[off + i] = static_cast<std::uint8_t>(s >> (8 * i));
-    }
-}
-
-/** The header back out of a recovered page; false = no valid stamp. */
-bool
-readStamp(const std::vector<std::uint8_t> &page, std::uint64_t lpn,
-          std::uint64_t *gen)
-{
-    if (page[0] != 0xB0 || page[1] != 0xB0 || page[2] != 0x7E ||
-        page[3] != 0x57) {
-        return false;
-    }
-    std::uint64_t got_lpn = 0;
-    for (int i = 0; i < 4; ++i)
-        got_lpn |= static_cast<std::uint64_t>(page[4 + i]) << (8 * i);
-    if (got_lpn != lpn)
-        return false;
-    *gen = 0;
-    for (int i = 0; i < 8; ++i)
-        *gen |= static_cast<std::uint64_t>(page[8 + i]) << (8 * i);
-    return true;
-}
-
-/** One complete controller stack over a small crash-campaign device:
- *  4 chips x 32 blocks x 8 pages, write buffer and static wear
- *  levelling on so the campaign exercises both. */
-struct CrashWorld
-{
-    EventQueue eq;
-    ChannelSystem sys;
-    std::unique_ptr<ChannelController> ctrl;
-    ftl::PageFtl ftl;
-
-    explicit CrashWorld(const std::string &flavor)
-        : sys(eq, "ssd", channelCfg()),
-          ctrl(makeController(eq, flavor, sys, true)),
-          ftl(eq, "ftl", *ctrl, ftlCfg())
-    {
-    }
-
-    static ChannelConfig
-    channelCfg()
-    {
-        ChannelConfig cfg;
-        cfg.package = nand::hynixPackage();
-        cfg.package.geometry.pagesPerBlock = 8;
-        cfg.package.geometry.blocksPerPlane = 32;
-        cfg.chips = 4;
-        cfg.rateMT = 200;
-        return cfg;
-    }
-
-    static ftl::FtlConfig
-    ftlCfg()
-    {
-        ftl::FtlConfig cfg;
-        cfg.blocksPerChip = 8;
-        cfg.overprovision = 0.25;
-        cfg.writeBufferPages = 4;
-        cfg.writeBufferFlushUs = 200;
-        cfg.wearSpreadThreshold = 8;
-        return cfg;
-    }
-};
-
-constexpr std::uint64_t kCrashHostBase = 16 << 20;
-constexpr std::uint32_t kCrashQd = 8;
-
-/** Host-side ledger of the stamped workload: which generation of each
- *  LPN was issued, and which the device acknowledged. */
-struct CrashLedger
-{
-    std::vector<std::uint64_t> issuedGen; //!< last gen handed to the FTL
-    std::vector<std::uint64_t> ackedGen;  //!< last gen acknowledged
-    std::uint64_t issued = 0;
-    std::uint64_t acked = 0;
-    bool crashed = false;
-
-    explicit CrashLedger(std::uint64_t extent)
-        : issuedGen(extent, 0), ackedGen(extent, 0)
-    {
-    }
-};
-
-/**
- * Drive @p total stamped writes at QD 8 over half the logical space.
- * When @p crash_at is non-zero, stop the event loop the moment the
- * crash_at-th acknowledgement lands — in-flight and buffered writes
- * stay in flight, exactly like a power cut mid-burst.
- */
-void
-runCrashWorkload(CrashWorld &w, CrashLedger &led, std::uint64_t total,
-                 std::uint64_t crash_at, std::uint64_t seed)
-{
-    const std::uint32_t page_bytes = w.ftl.pageBytes();
-    const std::uint64_t extent = led.issuedGen.size();
-    Rng rng(seed);
-    std::vector<std::uint8_t> page(page_bytes);
-
-    std::function<void(std::uint32_t)> issue = [&](std::uint32_t slot) {
-        if (led.crashed || led.issued >= total)
-            return;
-        const std::uint64_t lpn = rng.uniform(0, extent - 1);
-        const std::uint64_t gen = ++led.issuedGen[lpn];
-        ++led.issued;
-        const std::uint64_t addr =
-            kCrashHostBase + std::uint64_t(slot) * page_bytes;
-        stampPattern(page, lpn, gen);
-        w.ctrl->backendDram().write(addr, page);
-        w.ftl.writePage(lpn, addr, [&, slot, lpn, gen](bool ok) {
-            if (!ok)
-                fatal("crash workload: write lpn %llu failed",
-                      static_cast<unsigned long long>(lpn));
-            led.ackedGen[lpn] = std::max(led.ackedGen[lpn], gen);
-            ++led.acked;
-            if (crash_at != 0 && led.acked == crash_at) {
-                led.crashed = true;
-                return;
-            }
-            issue(slot);
-        });
-    };
-    for (std::uint32_t q = 0; q < kCrashQd; ++q)
-        issue(q);
-
-    while (!led.crashed && w.eq.step()) {
-    }
-}
-
-/** Verdict of one remount verification pass. */
-struct RecoveryReport
-{
-    std::uint64_t lost = 0;    //!< acknowledged writes missing
-    std::uint64_t stale = 0;   //!< superseded generations resurrected
-    std::uint64_t corrupt = 0; //!< mapped pages with bad content
-    std::uint64_t mapped = 0;
-    std::uint64_t digest = 0; //!< FNV over (lpn, mapped, gen): the
-                              //!< byte-determinism witness
-};
-
-/**
- * Walk every logical page of the remounted device and hold it against
- * the ledger: acked generations must read back intact, nothing older
- * than an acked generation may reappear, and with @p expect_exact
- * (clean shutdown) the map must equal the last issued generation.
- * Violations land in the conformance auditor under Check::Recovery.
- */
-RecoveryReport
-verifyRecovery(CrashWorld &w, const CrashLedger &led, bool expect_exact)
-{
-    const std::uint32_t page_bytes = w.ftl.pageBytes();
-    const std::uint64_t extent = led.issuedGen.size();
-    RecoveryReport rep;
-    std::vector<std::uint8_t> got(page_bytes), want(page_bytes);
-
-    std::uint64_t fnv = 1469598103934665603ull;
-    auto fold = [&fnv](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            fnv ^= (v >> (8 * i)) & 0xFF;
-            fnv *= 1099511628211ull;
-        }
-    };
-    auto violation = [&](const std::string &msg) {
-        w.eq.context().audit.report(
-            obs::audit::Check::Recovery, "recovery.conservation",
-            "ssd.ftl", w.eq.now(), msg);
-        std::printf("RECOVERY VIOLATION: %s\n", msg.c_str());
-    };
-
-    for (std::uint64_t lpn = 0; lpn < extent; ++lpn) {
-        const bool mapped = w.ftl.isMapped(lpn);
-        std::uint64_t gen = 0;
-        if (!mapped) {
-            if (led.ackedGen[lpn] != 0) {
-                ++rep.lost;
-                violation(strfmt("lpn %llu: acknowledged gen %llu lost "
-                                 "(unmapped after remount)",
-                                 static_cast<unsigned long long>(lpn),
-                                 static_cast<unsigned long long>(
-                                     led.ackedGen[lpn])));
-            }
-        } else {
-            ++rep.mapped;
-            bool ok = false, done = false;
-            w.ftl.readPage(lpn, kCrashHostBase, [&](bool o) {
-                ok = o;
-                done = true;
-            });
-            w.eq.run();
-            if (!done || !ok) {
-                ++rep.corrupt;
-                violation(strfmt("lpn %llu: mapped but unreadable",
-                                 static_cast<unsigned long long>(lpn)));
-            } else {
-                w.ctrl->backendDram().read(kCrashHostBase, got);
-                if (!readStamp(got, lpn, &gen)) {
-                    ++rep.corrupt;
-                    violation(strfmt("lpn %llu: recovered page carries "
-                                     "no valid stamp",
-                                     static_cast<unsigned long long>(
-                                         lpn)));
-                } else {
-                    stampPattern(want, lpn, gen);
-                    if (got != want) {
-                        ++rep.corrupt;
-                        violation(strfmt(
-                            "lpn %llu: payload of gen %llu corrupt",
-                            static_cast<unsigned long long>(lpn),
-                            static_cast<unsigned long long>(gen)));
-                    }
-                    if (gen < led.ackedGen[lpn]) {
-                        ++rep.stale;
-                        violation(strfmt(
-                            "lpn %llu: stale gen %llu resurrected over "
-                            "acknowledged gen %llu",
-                            static_cast<unsigned long long>(lpn),
-                            static_cast<unsigned long long>(gen),
-                            static_cast<unsigned long long>(
-                                led.ackedGen[lpn])));
-                    } else if (gen > led.issuedGen[lpn]) {
-                        ++rep.corrupt;
-                        violation(strfmt(
-                            "lpn %llu: gen %llu was never issued",
-                            static_cast<unsigned long long>(lpn),
-                            static_cast<unsigned long long>(gen)));
-                    } else if (expect_exact &&
-                               gen != led.issuedGen[lpn]) {
-                        ++rep.lost;
-                        violation(strfmt(
-                            "lpn %llu: clean shutdown lost gen %llu "
-                            "(recovered %llu)",
-                            static_cast<unsigned long long>(lpn),
-                            static_cast<unsigned long long>(
-                                led.issuedGen[lpn]),
-                            static_cast<unsigned long long>(gen)));
-                    }
-                }
-            }
-        }
-        fold(lpn);
-        fold(mapped ? 1 : 0);
-        fold(gen);
-    }
-    rep.digest = fnv;
-    return rep;
+    ftl::FtlConfig cfg = campaign::Rig::smallFtl();
+    cfg.writeBufferPages = 4;
+    cfg.writeBufferFlushUs = 200;
+    cfg.wearSpreadThreshold = 8;
+    return std::make_unique<campaign::Rig>(4, cfg, flavor);
 }
 
 /**
  * The campaign proper: for each crash point K, run the stamped
  * workload until the Kth acknowledgement, cut power (tear in-flight
  * programs, drop DRAM state), transplant the surviving cells into a
- * fresh world, remount from OOB, and verify. @p clean_remount adds a
- * flush + remount pass with exact-map expectations.
+ * fresh rig, remount from OOB, and hold every logical page against the
+ * ledger. @p clean_remount adds a flush + remount pass; it drains
+ * every write first, so acked = issued and the check is exact.
+ * Violations land in the conformance auditor under Check::Recovery.
  */
 int
 runCrashCampaign(const std::string &flavor,
@@ -710,23 +437,27 @@ runCrashCampaign(const std::string &flavor,
     std::uint64_t violations = 0;
 
     auto one_cycle = [&](std::uint64_t crash_at) {
-        auto wa = std::make_unique<CrashWorld>(flavor);
-        CrashLedger led(wa->ftl.logicalPages() / 2);
-        runCrashWorkload(*wa, led, total_writes, crash_at, seed);
+        auto wa = crashRig(flavor);
+        campaign::Ledger led(wa->ftl.logicalPages() / 2);
+        campaign::StampedWorkload wl(wa->eq, wa->ftl, led, total_writes,
+                                     seed);
+        // The loop stops the moment the crash_at-th ack lands: in-flight
+        // and buffered writes stay in flight, as in a power cut mid-burst.
+        wl.onAck = [crash_at](std::uint64_t acked) {
+            return acked == crash_at;
+        };
+        wl.run();
 
         Tick cut_at = 0;
         if (crash_at != 0) {
-            if (!led.crashed)
+            if (!wl.cut())
                 fatal("crash point %llu beyond workload (only %llu "
                       "acked)",
                       static_cast<unsigned long long>(crash_at),
                       static_cast<unsigned long long>(led.acked));
             cut_at = wa->eq.now();
             ctx.faults.notePowerCut("ssd", cut_at);
-            for (std::uint32_t c = 0; c < wa->ctrl->backendChipCount();
-                 ++c) {
-                wa->sys.lun(c).powerCut();
-            }
+            wa->powerCut();
         } else {
             // Clean shutdown: drain the write buffer first.
             bool flushed = false;
@@ -738,11 +469,10 @@ runCrashCampaign(const std::string &flavor,
         }
 
         // The cells survive the cut; everything else is rebuilt fresh.
-        auto wb = std::make_unique<CrashWorld>(flavor);
-        for (std::uint32_t c = 0; c < wa->ctrl->backendChipCount(); ++c)
-            wb->sys.lun(c).array().copyStateFrom(wa->sys.lun(c).array());
+        auto wb = crashRig(flavor);
+        wa->transplantInto(*wb);
         wa.reset();
-        // Drop the old world's records: its torn spans would otherwise
+        // Drop the old rig's records: its torn spans would otherwise
         // trip the auditor's conservation pass, and a power cut tearing
         // them open is exactly the expected outcome here.
         if (ctx.trace.enabled())
@@ -750,17 +480,29 @@ runCrashCampaign(const std::string &flavor,
 
         const std::uint64_t e0 =
             pm.enabled() ? pm.grandTotalFjAt(wb->eq.now()) : 0;
-        bool mounted = false;
-        wb->ftl.mount([&](bool ok) { mounted = ok; });
-        wb->eq.run();
-        if (!mounted)
+        if (!wb->mount())
             fatal("remount failed");
         const Tick mount_ticks = wb->eq.now();
         const std::uint64_t mount_fj =
             pm.enabled() ? pm.grandTotalFjAt(wb->eq.now()) - e0 : 0;
 
-        RecoveryReport rep = verifyRecovery(*wb, led, crash_at == 0);
-        violations += rep.lost + rep.stale + rep.corrupt;
+        const campaign::ReadBack rb =
+            campaign::readBack(wb->eq, wb->ftl, led);
+        for (const std::string &v : rb.violations) {
+            ctx.audit.report(obs::audit::Check::Recovery,
+                             "recovery.conservation", "ssd.ftl",
+                             wb->eq.now(), v);
+            std::printf("RECOVERY VIOLATION: %s\n", v.c_str());
+        }
+        violations += rb.lost + rb.stale + rb.corrupt;
+
+        // The byte-determinism witness: (lpn, mapped, gen) per page.
+        campaign::Digest digest;
+        for (std::uint64_t lpn = 0; lpn < led.extent(); ++lpn) {
+            digest.fold(lpn);
+            digest.fold(wb->ftl.isMapped(lpn) ? 1 : 0);
+            digest.fold(rb.gens[lpn]);
+        }
 
         std::string line = strfmt(
             "%s=%llu acked=%llu issued=%llu cut@%.1fus | mount %llu "
@@ -775,11 +517,11 @@ runCrashCampaign(const std::string &flavor,
                 wb->ftl.mountPagesScanned()),
             static_cast<unsigned long long>(wb->ftl.mountTornPages()),
             ticks::toUs(mount_ticks),
-            static_cast<unsigned long long>(rep.mapped),
-            static_cast<unsigned long long>(rep.digest),
-            static_cast<unsigned long long>(rep.lost),
-            static_cast<unsigned long long>(rep.stale),
-            static_cast<unsigned long long>(rep.corrupt));
+            static_cast<unsigned long long>(rb.mapped),
+            static_cast<unsigned long long>(digest.value()),
+            static_cast<unsigned long long>(rb.lost),
+            static_cast<unsigned long long>(rb.stale),
+            static_cast<unsigned long long>(rb.corrupt));
         if (pm.enabled())
             line += strfmt(" | mount %.2f uJ",
                            static_cast<double>(mount_fj) / 1e9);
@@ -826,7 +568,7 @@ runLifetimeSmoke(const std::string &flavor)
     cfg.chips = 1;
     cfg.rateMT = 200;
     ChannelSystem sys(eq, "ssd", cfg);
-    auto ctrl = makeController(eq, flavor, sys, true);
+    auto ctrl = demoController(eq, flavor, sys, true);
 
     // Generous overprovisioning: with only 32 physical pages, GC needs
     // real headroom to stay ahead of an 8-deep write stream.
@@ -859,13 +601,13 @@ runLifetimeSmoke(const std::string &flavor)
                                       : rng.uniform(0, extent - 1);
         ++issued;
         ftl.writePage(lpn,
-                      kCrashHostBase + std::uint64_t(slot) * page_bytes,
+                      campaign::kHostBase + std::uint64_t(slot) * page_bytes,
                       [&, slot](bool ok) {
                           ok ? ++acked : ++failed;
                           issue(slot);
                       });
     };
-    for (std::uint32_t q = 0; q < kCrashQd; ++q)
+    for (std::uint32_t q = 0; q < campaign::StampedWorkload::kQueueDepth; ++q)
         issue(q);
     eq.run();
 
@@ -914,7 +656,7 @@ runLifetimeSmoke(const std::string &flavor)
     // The device keeps working past the first retirement.
     std::uint64_t extra_ok = 0;
     for (std::uint64_t i = 0; i < 32; ++i) {
-        ftl.writePage(i % extent, kCrashHostBase, [&](bool ok) {
+        ftl.writePage(i % extent, campaign::kHostBase, [&](bool ok) {
             if (ok)
                 ++extra_ok;
         });
@@ -1007,100 +749,45 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
     std::printf(", 1 thread(s)\n");
 
     // --- Phase 1: stamped mixed workload, fault injected mid-flight ---
-    const std::uint32_t page_bytes = ftl.pageBytes();
-    const std::uint64_t extent = ftl.logicalPages() / 2;
+    // Every third op re-reads an already-acknowledged page and checks
+    // its stamp: acked data must stay readable throughout, including
+    // while a die is down and rebuilds are in flight.
     const std::uint64_t total_ops =
         std::max<std::uint64_t>(400, std::max(diefail_at, blockfail_at) +
                                          128);
-    CrashLedger led(extent);
-    Rng rng(plan.seed);
-    std::vector<std::uint8_t> page(page_bytes), got(page_bytes),
-        want(page_bytes);
-    std::uint64_t issued = 0, completed = 0, reads = 0;
-    std::uint64_t read_failures = 0, read_corrupt = 0;
-    const std::uint32_t kill_chip = 1;          // ssd.ch0.pkg1
+    campaign::Ledger led(ftl.logicalPages() / 2);
+    campaign::StampedWorkload wl(eq, ftl, led, total_ops, plan.seed);
+    wl.readEvery = 3;
+    const std::uint32_t kill_chip = 1; // ssd.ch0.pkg1
     const std::uint32_t blockfail_chip = nchips - 1;
-    bool die_killed = false, block_killed = false;
-
-    std::function<void(std::uint32_t)> issue = [&](std::uint32_t slot) {
-        if (issued >= total_ops) {
-            if (completed == issued && scrub)
-                scrub->stop(); // drain: the patrol would tick forever
-            return;
+    bool die_killed = false;
+    wl.onAck = [&](std::uint64_t acked) {
+        if (acked == diefail_at) {
+            die_killed = true;
+            faults.failDie(dev.backendChipName(kill_chip), eq.now());
+            ftl.markChipDead(kill_chip);
         }
-        ++issued;
-        const std::uint64_t addr =
-            kCrashHostBase + std::uint64_t(slot) * page_bytes;
-        const std::uint64_t lpn = rng.uniform(0, extent - 1);
-
-        // Every third op re-reads an already-acknowledged page and
-        // checks its stamp — acked data must stay readable throughout,
-        // including while a die is down and rebuilds are in flight.
-        if (issued % 3 == 0 && led.ackedGen[lpn] != 0) {
-            ++reads;
-            const std::uint64_t floor_gen = led.ackedGen[lpn];
-            ftl.readPage(lpn, addr, [&, slot, lpn, addr,
-                                     floor_gen](bool ok) {
-                ++completed;
-                if (!ok) {
-                    ++read_failures;
-                } else {
-                    dev.backendDram().read(addr, got);
-                    std::uint64_t gen = 0;
-                    if (!readStamp(got, lpn, &gen) || gen < floor_gen ||
-                        gen > led.issuedGen[lpn]) {
-                        ++read_corrupt;
-                    } else {
-                        stampPattern(want, lpn, gen);
-                        if (got != want)
-                            ++read_corrupt;
-                    }
-                }
-                issue(slot);
-            });
-            return;
-        }
-
-        const std::uint64_t gen = ++led.issuedGen[lpn];
-        stampPattern(page, lpn, gen);
-        dev.backendDram().write(addr, page);
-        ftl.writePage(lpn, addr, [&, slot, lpn, gen](bool ok) {
-            ++completed;
-            if (!ok)
-                fatal("reliability workload: write lpn %llu failed",
-                      static_cast<unsigned long long>(lpn));
-            led.ackedGen[lpn] = std::max(led.ackedGen[lpn], gen);
-            ++led.acked;
-            if (diefail_at && led.acked == diefail_at && !die_killed) {
-                die_killed = true;
-                faults.failDie(dev.backendChipName(kill_chip), eq.now());
-                ftl.markChipDead(kill_chip);
-            }
-            if (blockfail_at && led.acked == blockfail_at &&
-                !block_killed) {
-                block_killed = true;
-                faults.failBlock(dev.backendChipName(blockfail_chip),
-                                       1, 1, eq.now());
-            }
-            issue(slot);
-        });
+        if (acked == blockfail_at)
+            faults.failBlock(dev.backendChipName(blockfail_chip), 1, 1,
+                             eq.now());
+        return false;
     };
-    for (std::uint32_t q = 0; q < kCrashQd; ++q)
-        issue(q);
-    eq.run(); // returns once the rebuild sweep drains too
+    if (scrub)
+        wl.onDrain = [&] { scrub->stop(); }; // the patrol ticks forever
+    wl.run(); // returns once the rebuild sweep drains too
 
-    if (completed != issued)
+    if (wl.completed() != wl.ops())
         fatal("reliability workload stalled: %llu of %llu ops done",
-              static_cast<unsigned long long>(completed),
-              static_cast<unsigned long long>(issued));
+              static_cast<unsigned long long>(wl.completed()),
+              static_cast<unsigned long long>(wl.ops()));
 
     std::printf("workload: %llu ops (%llu writes acked, %llu reads: "
                 "%llu failed, %llu corrupt)\n",
-                static_cast<unsigned long long>(issued),
+                static_cast<unsigned long long>(wl.ops()),
                 static_cast<unsigned long long>(led.acked),
-                static_cast<unsigned long long>(reads),
-                static_cast<unsigned long long>(read_failures),
-                static_cast<unsigned long long>(read_corrupt));
+                static_cast<unsigned long long>(wl.reads()),
+                static_cast<unsigned long long>(wl.readFailures()),
+                static_cast<unsigned long long>(wl.readCorrupt()));
     if (scrub)
         std::printf("scrub: %llu patrol reads (%llu sweeps), %llu near "
                     "misses, %llu disturb trips, %llu refreshes, %llu "
@@ -1131,66 +818,19 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
                         rain->rebuildsFailed()));
 
     // --- Phase 2: full read-back verification against the ledger ---
-    std::uint64_t lost = 0, corrupt = 0, verified = 0;
-    std::uint64_t fnv = 1469598103934665603ull;
-    auto fold = [&fnv](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            fnv ^= (v >> (8 * i)) & 0xFF;
-            fnv *= 1099511628211ull;
-        }
-    };
-    std::uint64_t vlpn = 0;
-    std::function<void()> verify_next = [&] {
-        for (; vlpn < extent && led.ackedGen[vlpn] == 0; ++vlpn)
-            fold(0);
-        if (vlpn >= extent)
-            return;
-        const std::uint64_t lpn = vlpn++;
-        ftl.readPage(lpn, kCrashHostBase, [&, lpn](bool ok) {
-            std::uint64_t gen = 0;
-            if (!ok) {
-                ++lost;
-                std::printf("DATA LOSS: lpn %llu (acked gen %llu) "
-                            "unreadable after campaign\n",
-                            static_cast<unsigned long long>(lpn),
-                            static_cast<unsigned long long>(
-                                led.ackedGen[lpn]));
-            } else {
-                dev.backendDram().read(kCrashHostBase, got);
-                if (!readStamp(got, lpn, &gen) ||
-                    gen < led.ackedGen[lpn] || gen > led.issuedGen[lpn]) {
-                    ++corrupt;
-                    std::printf("DATA LOSS: lpn %llu stamp invalid "
-                                "(got gen %llu, acked %llu)\n",
-                                static_cast<unsigned long long>(lpn),
-                                static_cast<unsigned long long>(gen),
-                                static_cast<unsigned long long>(
-                                    led.ackedGen[lpn]));
-                } else {
-                    stampPattern(want, lpn, gen);
-                    if (got != want) {
-                        ++corrupt;
-                        std::printf("DATA LOSS: lpn %llu gen %llu "
-                                    "payload corrupt\n",
-                                    static_cast<unsigned long long>(lpn),
-                                    static_cast<unsigned long long>(
-                                        gen));
-                    } else {
-                        ++verified;
-                    }
-                }
-            }
-            fold(gen);
-            verify_next();
-        });
-    };
-    verify_next();
-    eq.run();
-    fold(led.acked);
-    fold(read_failures + read_corrupt);
-    fold(lost + corrupt);
+    const campaign::ReadBack rb = campaign::readBack(eq, ftl, led);
+    for (const std::string &v : rb.violations)
+        std::printf("DATA LOSS: %s\n", v.c_str());
+    const std::uint64_t lost = rb.lost;
+    const std::uint64_t corrupt = rb.stale + rb.corrupt;
+    const std::uint64_t host_loss = wl.readFailures() + wl.readCorrupt();
+    campaign::Digest digest;
+    for (std::uint64_t gen : rb.gens)
+        digest.fold(gen);
+    digest.fold(led.acked);
+    digest.fold(host_loss);
+    digest.fold(lost + corrupt);
 
-    const std::uint64_t host_loss = read_failures + read_corrupt;
     std::string line = strfmt(
         "reliability %s rain=%d scrub=%d diefail@%llu blockfail@%llu | "
         "acked=%llu verified=%llu lost=%llu corrupt=%llu inflight-loss="
@@ -1199,12 +839,12 @@ runReliability(const std::string &flavor, bool rain_on, bool scrub_on,
         static_cast<unsigned long long>(diefail_at),
         static_cast<unsigned long long>(blockfail_at),
         static_cast<unsigned long long>(led.acked),
-        static_cast<unsigned long long>(verified),
+        static_cast<unsigned long long>(rb.verified),
         static_cast<unsigned long long>(lost),
         static_cast<unsigned long long>(corrupt),
         static_cast<unsigned long long>(host_loss),
         static_cast<unsigned long long>(ftl.dataLoss()),
-        static_cast<unsigned long long>(fnv));
+        static_cast<unsigned long long>(digest.value()));
     std::printf("%s\n", line.c_str());
     if (!rel_out.empty()) {
         std::ofstream out(rel_out, std::ios::app);
@@ -1258,6 +898,7 @@ main(int argc, char **argv)
     std::uint32_t qpairs = 0;
     std::uint32_t tenants = 0;
     obs::cli::Options obs_opts;
+    constexpr std::uint64_t kU32 = 0xFFFFFFFFu;
     for (int i = 1; i < argc; ++i) {
         if (obs_opts.parse(argc, argv, i))
             continue;
@@ -1270,19 +911,19 @@ main(int argc, char **argv)
             continue;
         }
         if (std::strcmp(argv[i], "--fleet") == 0 && i + 1 < argc) {
-            fleet = std::strtoul(argv[++i], nullptr, 10);
+            fleet = parseCountFlag("--fleet", argv[++i]);
             continue;
         }
         if (std::strcmp(argv[i], "--streams") == 0 && i + 1 < argc) {
-            streams = std::strtoul(argv[++i], nullptr, 10);
+            streams = parseCountFlag("--streams", argv[++i], kU32);
             continue;
         }
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = std::strtoul(argv[++i], nullptr, 10);
+            threads = parseCountFlag("--threads", argv[++i], kU32);
             continue;
         }
         if (std::strcmp(argv[i], "--qpairs") == 0 && i + 1 < argc) {
-            qpairs = std::strtoul(argv[++i], nullptr, 10);
+            qpairs = parseCountFlag("--qpairs", argv[++i], kU32);
             continue;
         }
         if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
@@ -1290,7 +931,7 @@ main(int argc, char **argv)
             continue;
         }
         if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
-            tenants = std::strtoul(argv[++i], nullptr, 10);
+            tenants = parseCountFlag("--tenants", argv[++i], kU32);
             continue;
         }
         if (std::strcmp(argv[i], "--slo-out") == 0 && i + 1 < argc) {
@@ -1298,7 +939,7 @@ main(int argc, char **argv)
             continue;
         }
         if (std::strcmp(argv[i], "--crash-at") == 0 && i + 1 < argc) {
-            crash_points.push_back(std::strtoull(argv[++i], nullptr, 10));
+            crash_points.push_back(parseCountFlag("--crash-at", argv[++i]));
             continue;
         }
         if (std::strcmp(argv[i], "--crash-plan") == 0 && i + 1 < argc) {
@@ -1326,11 +967,11 @@ main(int argc, char **argv)
             continue;
         }
         if (std::strcmp(argv[i], "--diefail-at") == 0 && i + 1 < argc) {
-            diefail_at = std::strtoull(argv[++i], nullptr, 10);
+            diefail_at = parseCountFlag("--diefail-at", argv[++i]);
             continue;
         }
         if (std::strcmp(argv[i], "--blockfail-at") == 0 && i + 1 < argc) {
-            blockfail_at = std::strtoull(argv[++i], nullptr, 10);
+            blockfail_at = parseCountFlag("--blockfail-at", argv[++i]);
             continue;
         }
         if (std::strcmp(argv[i], "--reliability-out") == 0 &&
@@ -1420,7 +1061,7 @@ main(int argc, char **argv)
     cfg.rateMT = 200;
     ChannelSystem sys(eq, "ssd", cfg);
 
-    auto ctrl = makeController(eq, flavor, sys, ctx.faults.armed());
+    auto ctrl = demoController(eq, flavor, sys, ctx.faults.armed());
 
     ftl::FtlConfig fcfg;
     fcfg.blocksPerChip = 4;

@@ -156,6 +156,9 @@ stage_crash() {
     ensure_plain_build
     echo "=== tier-1: crash/remount campaign (every flavour) ==="
     mkdir -p "$ROOT/build/crash-reports"
+    # The digest file is append-mode; stale lines from a previous local
+    # run would defeat the byte-identical cmp below.
+    rm -f "$ROOT/build/crash-reports"/crash_*.txt
     local flavor
     for flavor in coro rtos hw; do
         echo "--- $flavor ---"

@@ -10,6 +10,8 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string_view>
@@ -30,6 +32,19 @@ parseDigits(std::string_view val,
     if (ec != std::errc() || ptr != end || v > max)
         return std::nullopt;
     return v;
+}
+
+/** The value of the count flag @p flag: parseDigits(@p val, @p max), or
+ *  a usage error naming the flag and exit status 2. */
+inline std::uint64_t
+parseCountFlag(const char *flag, const char *val,
+               std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    if (const auto v = parseDigits(val, max))
+        return *v;
+    std::fprintf(stderr, "usage: %s takes a decimal count, got '%s'\n", flag,
+                 val);
+    std::exit(2);
 }
 
 } // namespace babol

@@ -7,6 +7,24 @@
 
 namespace babol::ssd {
 
+std::unique_ptr<core::ChannelController>
+makeController(EventQueue &eq, const std::string &flavor,
+               const std::string &name, core::ChannelSystem &sys,
+               const core::SoftControllerConfig &soft)
+{
+    if (flavor == "coro")
+        return std::make_unique<core::CoroController>(eq, name, sys, soft);
+    if (flavor == "rtos")
+        return std::make_unique<core::RtosController>(eq, name, sys, soft);
+    if (flavor == "hw-sync" || flavor == "hw-async" || flavor == "hw") {
+        auto hw = std::make_unique<core::HwController>(eq, name, sys,
+                                                       flavor == "hw-sync");
+        hw->setMaxReadRetries(soft.maxReadRetries);
+        return hw;
+    }
+    fatal("unknown controller flavor '%s'", flavor.c_str());
+}
+
 Ssd::Ssd(EventQueue &eq, const std::string &name, SsdConfig cfg)
     : SimObject(eq, name), cfg_(cfg)
 {
@@ -26,29 +44,12 @@ Ssd::Ssd(EventQueue &eq, const std::string &name, SsdConfig cfg)
             eq, strfmt("%s.ch%u", name.c_str(), ch), ccfg));
 
         core::ChannelSystem &sys = *systems_.back();
-        std::string cname = strfmt("%s.ch%u.ctrl", name.c_str(), ch);
         core::SoftControllerConfig soft;
         soft.cpuMhz = cfg_.cpuMhz;
         soft.maxReadRetries = cfg_.maxReadRetries;
-        if (cfg_.flavor == "coro") {
-            controllers_.push_back(std::make_unique<core::CoroController>(
-                eq, cname, sys, soft));
-        } else if (cfg_.flavor == "rtos") {
-            controllers_.push_back(std::make_unique<core::RtosController>(
-                eq, cname, sys, soft));
-        } else if (cfg_.flavor == "hw-sync") {
-            auto hw = std::make_unique<core::HwController>(eq, cname, sys,
-                                                           true);
-            hw->setMaxReadRetries(cfg_.maxReadRetries);
-            controllers_.push_back(std::move(hw));
-        } else if (cfg_.flavor == "hw-async" || cfg_.flavor == "hw") {
-            auto hw = std::make_unique<core::HwController>(eq, cname, sys,
-                                                           false);
-            hw->setMaxReadRetries(cfg_.maxReadRetries);
-            controllers_.push_back(std::move(hw));
-        } else {
-            fatal("unknown controller flavor '%s'", cfg_.flavor.c_str());
-        }
+        controllers_.push_back(makeController(
+            eq, cfg_.flavor, strfmt("%s.ch%u.ctrl", name.c_str(), ch), sys,
+            soft));
     }
 }
 

@@ -38,6 +38,16 @@ struct SsdConfig
     std::uint64_t dramBytes = 256ull * 1024 * 1024;
 };
 
+/**
+ * The one flavour-name -> controller dispatch: "coro", "rtos", "hw-sync"
+ * or "hw-async" (alias "hw"). The hw flavours take only maxReadRetries
+ * from @p soft; an unknown name is fatal.
+ */
+std::unique_ptr<core::ChannelController>
+makeController(EventQueue &eq, const std::string &flavor,
+               const std::string &name, core::ChannelSystem &sys,
+               const core::SoftControllerConfig &soft = {});
+
 class Ssd : public SimObject, public core::FlashBackend
 {
   public:

@@ -7,49 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/coro/coro_controller.hh"
-#include "core/hw/hw_controller.hh"
-#include "core/rtos_env/rtos_controller.hh"
+#include "flavor_param.hh"
+#include "ssd/ssd.hh"
 
 using namespace babol;
 using namespace babol::core;
 
 namespace {
-
-enum class Flavor { Coroutine, Rtos, HwSync, HwAsync };
-
-const char *
-flavorLabel(const testing::TestParamInfo<Flavor> &info)
-{
-    switch (info.param) {
-      case Flavor::Coroutine:
-        return "coroutine";
-      case Flavor::Rtos:
-        return "rtos";
-      case Flavor::HwSync:
-        return "hwsync";
-      case Flavor::HwAsync:
-        return "hwasync";
-    }
-    return "?";
-}
-
-std::unique_ptr<ChannelController>
-makeController(Flavor flavor, EventQueue &eq, ChannelSystem &sys,
-               SoftControllerConfig soft = {})
-{
-    switch (flavor) {
-      case Flavor::Coroutine:
-        return std::make_unique<CoroController>(eq, "ctrl", sys, soft);
-      case Flavor::Rtos:
-        return std::make_unique<RtosController>(eq, "ctrl", sys, soft);
-      case Flavor::HwSync:
-        return std::make_unique<HwController>(eq, "ctrl", sys, true);
-      case Flavor::HwAsync:
-        return std::make_unique<HwController>(eq, "ctrl", sys, false);
-    }
-    return nullptr;
-}
 
 class ControllerTest : public testing::TestWithParam<Flavor>
 {
@@ -61,13 +25,8 @@ class ControllerTest : public testing::TestWithParam<Flavor>
         cfg.package = nand::hynixPackage();
         cfg.chips = 4;
         sys_ = std::make_unique<ChannelSystem>(eq_, "ssd", cfg);
-        ctrl_ = makeController(GetParam(), eq_, *sys_);
-    }
-
-    bool
-    isHardware() const
-    {
-        return GetParam() == Flavor::HwSync || GetParam() == Flavor::HwAsync;
+        ctrl_ = ssd::makeController(eq_, factoryName(GetParam()), "ctrl",
+                                    *sys_);
     }
 
     OpResult
@@ -128,7 +87,7 @@ TEST_P(ControllerTest, RoundTripPreservesData)
 
 TEST_P(ControllerTest, PslcRoundTripIsFasterThanTlc)
 {
-    if (isHardware())
+    if (isHardwareFlavor(GetParam()))
         GTEST_SKIP() << "hardware baselines have no pSLC FSM — the "
                         "rigidity BABOL removes";
     const std::uint32_t page = sys_->pageDataBytes();
@@ -195,13 +154,13 @@ INSTANTIATE_TEST_SUITE_P(Flavors, ControllerTest,
 
 TEST(FlavorContrast, HardwareReadBeatsSoftwareOnLatency)
 {
-    auto read_latency_us = [](Flavor flavor) {
+    auto read_latency_us = [](const char *flavor) {
         EventQueue eq;
         ChannelConfig cfg;
         cfg.package = nand::hynixPackage();
         cfg.chips = 1;
         ChannelSystem sys(eq, "ssd", cfg);
-        auto ctrl = makeController(flavor, eq, sys);
+        auto ctrl = ssd::makeController(eq, flavor, "ctrl", sys);
 
         auto run_one = [&](FlashRequest req) {
             OpResult out;
@@ -229,9 +188,9 @@ TEST(FlavorContrast, HardwareReadBeatsSoftwareOnLatency)
         return ticks::toUs(r.latency());
     };
 
-    double hw = read_latency_us(Flavor::HwAsync);
-    double rtos = read_latency_us(Flavor::Rtos);
-    double coro = read_latency_us(Flavor::Coroutine);
+    double hw = read_latency_us("hw-async");
+    double rtos = read_latency_us("rtos");
+    double coro = read_latency_us("coro");
 
     // R/B#-pin hardware detection beats polling; tighter RTOS polling
     // beats coroutine polling (Fig. 11's ordering).
@@ -248,7 +207,7 @@ TEST(FlavorContrast, RtosPollsFasterThanCoroutine)
     // Identical single read on both flavours at 1 GHz; the logic-analyzer
     // trace must show a markedly shorter polling period for RTOS
     // (paper Fig. 11).
-    auto polling_period_us = [](Flavor flavor) {
+    auto polling_period_us = [](const char *flavor) {
         EventQueue eq;
         ChannelConfig cfg;
         cfg.package = nand::hynixPackage();
@@ -256,11 +215,7 @@ TEST(FlavorContrast, RtosPollsFasterThanCoroutine)
         ChannelSystem sys(eq, "ssd", cfg);
         sys.bus().trace().setEnabled(true);
 
-        std::unique_ptr<ChannelController> ctrl;
-        if (flavor == Flavor::Coroutine)
-            ctrl = std::make_unique<CoroController>(eq, "c", sys);
-        else
-            ctrl = std::make_unique<RtosController>(eq, "c", sys);
+        auto ctrl = ssd::makeController(eq, flavor, "ctrl", sys);
 
         FlashRequest erase;
         erase.kind = FlashOpKind::Erase;
@@ -289,8 +244,8 @@ TEST(FlavorContrast, RtosPollsFasterThanCoroutine)
         return sum / periods.size();
     };
 
-    double coro = polling_period_us(Flavor::Coroutine);
-    double rtos = polling_period_us(Flavor::Rtos);
+    double coro = polling_period_us("coro");
+    double rtos = polling_period_us("rtos");
 
     // Calibration targets: ~30 us/cycle for coroutines at 1 GHz, and a
     // markedly higher polling frequency for the RTOS stack.

@@ -12,12 +12,13 @@
 
 #include <string>
 
-#include "core/coro/coro_controller.hh"
-#include "core/hw/hw_controller.hh"
+#include "campaign/rig.hh"
 #include "core/rtos_env/rtos_controller.hh"
+#include "flavor_param.hh"
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
 #include "obs/sim_context.hh"
+#include "ssd/ssd.hh"
 
 using namespace babol;
 using namespace babol::core;
@@ -135,24 +136,6 @@ TEST(FaultPlan, SignedJunkAndOutOfRangeNumbersPanicInsteadOfWrapping)
 // Every fault class, every controller flavour
 // ---------------------------------------------------------------------
 
-enum class Flavor { Coroutine, Rtos, HwSync, HwAsync };
-
-const char *
-flavorLabel(const testing::TestParamInfo<Flavor> &info)
-{
-    switch (info.param) {
-      case Flavor::Coroutine:
-        return "coroutine";
-      case Flavor::Rtos:
-        return "rtos";
-      case Flavor::HwSync:
-        return "hwsync";
-      case Flavor::HwAsync:
-        return "hwasync";
-    }
-    return "?";
-}
-
 class FaultRecoveryTest : public testing::TestWithParam<Flavor>
 {
   protected:
@@ -167,34 +150,11 @@ class FaultRecoveryTest : public testing::TestWithParam<Flavor>
 
         SoftControllerConfig soft;
         soft.maxReadRetries = 4;
-        switch (GetParam()) {
-          case Flavor::Coroutine:
-            ctrl_ = std::make_unique<CoroController>(eq_, "ctrl", *sys_,
-                                                     soft);
-            break;
-          case Flavor::Rtos:
-            ctrl_ = std::make_unique<RtosController>(eq_, "ctrl", *sys_,
-                                                     soft);
-            break;
-          case Flavor::HwSync:
-          case Flavor::HwAsync: {
-            auto hw = std::make_unique<HwController>(
-                eq_, "ctrl", *sys_, GetParam() == Flavor::HwSync);
-            hw->setMaxReadRetries(4);
-            ctrl_ = std::move(hw);
-            break;
-          }
-        }
+        ctrl_ = ssd::makeController(eq_, factoryName(GetParam()), "ctrl",
+                                    *sys_, soft);
     }
 
     void TearDown() override { faults().disarm(); }
-
-    bool
-    isHardware() const
-    {
-        return GetParam() == Flavor::HwSync ||
-               GetParam() == Flavor::HwAsync;
-    }
 
     OpResult
     runOne(FlashRequest req)
@@ -374,7 +334,7 @@ TEST_P(FaultRecoveryTest, StuckBusyBeyondBudgetTimesOutSoftFlavors)
     armOne(spec);
 
     OpResult r = runOne(readReq(1, 7, 0));
-    if (isHardware()) {
+    if (isHardwareFlavor(GetParam())) {
         // The R/B#-pin design has no poll budget: it just waits out the
         // overrun and completes.
         EXPECT_TRUE(r.ok);
@@ -388,74 +348,12 @@ TEST_P(FaultRecoveryTest, StuckBusyBeyondBudgetTimesOutSoftFlavors)
 
 INSTANTIATE_TEST_SUITE_P(Flavors, FaultRecoveryTest,
                          testing::Values(Flavor::Coroutine, Flavor::Rtos,
-                                         Flavor::HwSync,
-                                         Flavor::HwAsync),
+                                         Flavor::HwSync, Flavor::HwAsync),
                          flavorLabel);
 
 // ---------------------------------------------------------------------
 // FTL: program-fail remap and grown-defect persistence
 // ---------------------------------------------------------------------
-
-struct FaultedSsdRig
-{
-    EventQueue eq;
-    ChannelSystem sys;
-    HwController ctrl;
-    ftl::PageFtl ftl;
-
-    explicit FaultedSsdRig(ftl::FtlConfig fcfg = smallFtl())
-        : sys(eq, "ssd", makeChannel()), ctrl(eq, "ctrl", sys, false),
-          ftl(eq, "ftl", ctrl, fcfg)
-    {
-        ctrl.setMaxReadRetries(4);
-    }
-
-    static ChannelConfig
-    makeChannel()
-    {
-        ChannelConfig cfg;
-        cfg.package = nand::hynixPackage();
-        cfg.package.geometry.pagesPerBlock = 8;
-        cfg.package.geometry.blocksPerPlane = 32;
-        cfg.chips = 2;
-        return cfg;
-    }
-
-    static ftl::FtlConfig
-    smallFtl()
-    {
-        ftl::FtlConfig cfg;
-        cfg.blocksPerChip = 8;
-        cfg.overprovision = 0.25;
-        return cfg;
-    }
-
-    bool
-    writeOne(std::uint64_t lpn)
-    {
-        bool ok = false, done = false;
-        ftl.writePage(lpn, 0, [&](bool o) {
-            ok = o;
-            done = true;
-        });
-        eq.run();
-        EXPECT_TRUE(done);
-        return ok;
-    }
-
-    bool
-    readOne(std::uint64_t lpn)
-    {
-        bool ok = false, done = false;
-        ftl.readPage(lpn, 1 << 20, [&](bool o) {
-            ok = o;
-            done = true;
-        });
-        eq.run();
-        EXPECT_TRUE(done);
-        return ok;
-    }
-};
 
 TEST(FaultFtl, ProgramFailIsRemappedAndTheWriteStillSucceeds)
 {
@@ -467,9 +365,9 @@ TEST(FaultFtl, ProgramFailIsRemappedAndTheWriteStillSucceeds)
     plan.faults.push_back(spec);
     faults().arm(plan);
 
-    FaultedSsdRig rig;
+    campaign::Rig rig(2);
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
-        EXPECT_TRUE(rig.writeOne(lpn)) << "lpn " << lpn;
+        EXPECT_TRUE(rig.write(lpn, 1)) << "lpn " << lpn;
 
     EXPECT_EQ(faults().injectedOf(fault::FaultKind::ProgFail), 1u);
     EXPECT_GE(rig.ftl.blocksRetired(), 1u);
@@ -478,7 +376,7 @@ TEST(FaultFtl, ProgramFailIsRemappedAndTheWriteStillSucceeds)
 
     // Every page written through the failure reads back fine.
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
-        EXPECT_TRUE(rig.readOne(lpn)) << "lpn " << lpn;
+        EXPECT_TRUE(rig.readsBackAs(lpn, 1)) << "lpn " << lpn;
     faults().disarm();
 }
 
@@ -493,22 +391,18 @@ TEST(FaultFtl, GrownDefectsPersistAcrossRemount)
     plan.faults.push_back(spec);
     faults().arm(plan);
 
-    FaultedSsdRig rig;
+    campaign::Rig rig(2);
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
-        EXPECT_TRUE(rig.writeOne(lpn));
+        EXPECT_TRUE(rig.write(lpn, 1));
     std::vector<ftl::GrownDefect> table = rig.ftl.exportGrownDefects();
     ASSERT_FALSE(table.empty());
     faults().disarm();
 
-    // Remount: a fresh world over the SAME cells — no side-channel, the
+    // Remount: a fresh rig over the SAME cells — no side-channel, the
     // defect table has to come back from the OOB journal alone.
-    FaultedSsdRig rig2;
-    for (std::uint32_t c = 0; c < 2; ++c)
-        rig2.sys.lun(c).array().copyStateFrom(rig.sys.lun(c).array());
-    bool mounted = false;
-    rig2.ftl.mount([&](bool ok) { mounted = ok; });
-    rig2.eq.run();
-    ASSERT_TRUE(mounted);
+    campaign::Rig rig2(2);
+    rig.transplantInto(rig2);
+    ASSERT_TRUE(rig2.mount());
 
     std::vector<ftl::GrownDefect> after = rig2.ftl.exportGrownDefects();
     ASSERT_EQ(after.size(), table.size());
@@ -519,7 +413,7 @@ TEST(FaultFtl, GrownDefectsPersistAcrossRemount)
 
     // The remounted device still works and never re-learns the defect.
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
-        EXPECT_TRUE(rig2.writeOne(lpn));
+        EXPECT_TRUE(rig2.write(lpn, 2));
     EXPECT_EQ(rig2.ftl.blocksRetired(), 0u);
     EXPECT_EQ(rig2.ftl.exportGrownDefects().size(), table.size());
 }

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/hw/hw_controller.hh"
+#include "campaign/rig.hh"
 #include "ftl/ftl.hh"
 #include "host/fio.hh"
 
@@ -17,99 +17,39 @@ using namespace babol::host;
 
 namespace {
 
-struct SsdRig
+using campaign::Rig;
+
+/** Room for GC on the campaign rig: 16 managed blocks per chip. */
+FtlConfig
+gcFtl()
 {
-    EventQueue eq;
-    ChannelSystem sys;
-    HwController ctrl; // hw-async keeps these tests fast
-    PageFtl ftl;
-
-    explicit SsdRig(std::uint32_t chips = 4, FtlConfig fcfg = smallFtl())
-        : sys(eq, "ssd", makeChannel(chips)),
-          ctrl(eq, "ctrl", sys, false),
-          ftl(eq, "ftl", ctrl, fcfg)
-    {}
-
-    static ChannelConfig
-    makeChannel(std::uint32_t chips)
-    {
-        ChannelConfig cfg;
-        cfg.package = nand::hynixPackage();
-        // Small blocks keep GC tests quick.
-        cfg.package.geometry.pagesPerBlock = 8;
-        cfg.package.geometry.blocksPerPlane = 32;
-        cfg.chips = chips;
-        return cfg;
-    }
-
-    static FtlConfig
-    smallFtl()
-    {
-        FtlConfig cfg;
-        cfg.blocksPerChip = 16;
-        cfg.overprovision = 0.25;
-        cfg.gcLowWater = 2;
-        return cfg;
-    }
-
-    bool
-    writeOne(std::uint64_t lpn, std::uint64_t addr)
-    {
-        bool ok = false, done = false;
-        ftl.writePage(lpn, addr, [&](bool o) {
-            ok = o;
-            done = true;
-        });
-        eq.run();
-        EXPECT_TRUE(done);
-        return ok;
-    }
-
-    bool
-    readOne(std::uint64_t lpn, std::uint64_t addr)
-    {
-        bool ok = false, done = false;
-        ftl.readPage(lpn, addr, [&](bool o) {
-            ok = o;
-            done = true;
-        });
-        eq.run();
-        EXPECT_TRUE(done);
-        return ok;
-    }
-};
+    FtlConfig cfg;
+    cfg.blocksPerChip = 16;
+    cfg.overprovision = 0.25;
+    cfg.gcLowWater = 2;
+    return cfg;
+}
 
 TEST(Ftl, WriteReadRoundTrip)
 {
-    SsdRig rig;
-    const std::uint32_t page = rig.ftl.pageBytes();
-
-    std::vector<std::uint8_t> payload(page);
-    for (std::uint32_t i = 0; i < page; ++i)
-        payload[i] = static_cast<std::uint8_t>(i * 13 + 1);
-    rig.sys.dram().write(0, payload);
-
-    ASSERT_TRUE(rig.writeOne(7, 0));
+    Rig rig(4, gcFtl());
+    ASSERT_TRUE(rig.write(7, 1));
     EXPECT_TRUE(rig.ftl.isMapped(7));
     EXPECT_FALSE(rig.ftl.isMapped(8));
-
-    ASSERT_TRUE(rig.readOne(7, 1 << 20));
-    std::vector<std::uint8_t> got(page);
-    rig.sys.dram().read(1 << 20, got);
-    EXPECT_EQ(got, payload);
+    EXPECT_TRUE(rig.readsBackAs(7, 1));
 }
 
 TEST(Ftl, UnmappedReadFails)
 {
-    SsdRig rig;
-    EXPECT_FALSE(rig.readOne(3, 0));
+    Rig rig(4, gcFtl());
+    EXPECT_FALSE(rig.read(3));
 }
 
 TEST(Ftl, SequentialWritesStripeAcrossChips)
 {
-    SsdRig rig(4);
+    Rig rig(4, gcFtl());
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
-        ASSERT_TRUE(rig.writeOne(lpn, 0));
+        ASSERT_TRUE(rig.write(lpn, 1));
 
     // With 4 chips and round-robin striping, 8 sequential LPNs must
     // have programmed exactly 2 pages on each chip.
@@ -119,27 +59,15 @@ TEST(Ftl, SequentialWritesStripeAcrossChips)
 
 TEST(Ftl, OverwriteRemapsAndInvalidates)
 {
-    SsdRig rig;
-    const std::uint32_t page = rig.ftl.pageBytes();
-    std::vector<std::uint8_t> v1(page, 0x11), v2(page, 0x22);
-
-    rig.sys.dram().write(0, v1);
-    ASSERT_TRUE(rig.writeOne(5, 0));
-    rig.sys.dram().write(0, v2);
-    ASSERT_TRUE(rig.writeOne(5, 0));
-
-    ASSERT_TRUE(rig.readOne(5, 1 << 20));
-    std::vector<std::uint8_t> got(page);
-    rig.sys.dram().read(1 << 20, got);
-    EXPECT_EQ(got, v2);
+    Rig rig(4, gcFtl());
+    ASSERT_TRUE(rig.write(5, 1));
+    ASSERT_TRUE(rig.write(5, 2));
+    EXPECT_TRUE(rig.readsBackAs(5, 2));
 }
 
 TEST(Ftl, GarbageCollectionReclaimsSpace)
 {
-    SsdRig rig(2);
-    const std::uint32_t page = rig.ftl.pageBytes();
-    std::vector<std::uint8_t> payload(page, 0x77);
-    rig.sys.dram().write(0, payload);
+    Rig rig(2, gcFtl());
 
     // Keep overwriting a small extent (randomly, so victim blocks hold
     // a mix of valid and invalid pages) until total writes far exceed
@@ -148,24 +76,21 @@ TEST(Ftl, GarbageCollectionReclaimsSpace)
     const std::uint64_t extent = rig.ftl.logicalPages() / 2;
     const std::uint64_t total = rig.ftl.logicalPages() * 3;
     for (std::uint64_t i = 0; i < extent; ++i)
-        ASSERT_TRUE(rig.writeOne(i, 0)) << "fill " << i;
+        ASSERT_TRUE(rig.write(i, 1)) << "fill " << i;
     for (std::uint64_t i = extent; i < total; ++i)
-        ASSERT_TRUE(rig.writeOne(rng.uniform(0, extent - 1), 0))
+        ASSERT_TRUE(rig.write(rng.uniform(0, extent - 1), 1))
             << "write " << i;
 
     EXPECT_GT(rig.ftl.gcRuns(), 0u);
     EXPECT_GT(rig.ftl.gcPageMoves(), 0u);
 
     // Every live LPN must still read back correctly.
-    ASSERT_TRUE(rig.readOne(extent - 1, 1 << 20));
-    std::vector<std::uint8_t> got(page);
-    rig.sys.dram().read(1 << 20, got);
-    EXPECT_EQ(got, payload);
+    EXPECT_TRUE(rig.readsBackAs(extent - 1, 1));
 }
 
 TEST(Fio, SequentialReadSaturatesWithDepth)
 {
-    SsdRig rig(4);
+    Rig rig(4, gcFtl());
 
     FioConfig fill_cfg;
     fill_cfg.dramBase = 0;
@@ -201,7 +126,7 @@ TEST(Fio, SequentialReadSaturatesWithDepth)
 
 TEST(Fio, RandomReadsComplete)
 {
-    SsdRig rig(2);
+    Rig rig(2, gcFtl());
 
     FioConfig fill_cfg;
     FioEngine engine(rig.eq, "fio", rig.ftl, fill_cfg);

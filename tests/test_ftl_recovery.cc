@@ -17,7 +17,7 @@
 #include <cstring>
 #include <vector>
 
-#include "core/hw/hw_controller.hh"
+#include "campaign/rig.hh"
 #include "ftl/ftl.hh"
 #include "ftl/oob.hh"
 #include "obs/sim_context.hh"
@@ -75,127 +75,25 @@ TEST(OobCodec, RoundTripSurvivesTwoCorruptCopies)
 }
 
 // ---------------------------------------------------------------------
-// Single-channel recovery rig
+// Single-channel recovery: the two-chip campaign rig, whose stamped
+// pages let a remount be checked for content, not just mapping shape
 // ---------------------------------------------------------------------
 
-/** A two-chip channel with an FTL on top; pages carry real payload
- *  patterns through the staging DRAM so a remount can be checked for
- *  content, not just mapping shape. */
-struct RecoveryRig
-{
-    EventQueue eq;
-    ChannelSystem sys;
-    HwController ctrl;
-    ftl::PageFtl ftl;
-
-    static constexpr std::uint64_t kHostBase = 16 << 20;
-    static constexpr std::uint64_t kCheckBase = 24 << 20;
-
-    explicit RecoveryRig(ftl::FtlConfig fcfg = smallFtl(),
-                         std::uint32_t chips = 2)
-        : sys(eq, "ssd", makeChannel(chips)), ctrl(eq, "ctrl", sys, false),
-          ftl(eq, "ftl", ctrl, fcfg)
-    {
-    }
-
-    static ChannelConfig
-    makeChannel(std::uint32_t chips)
-    {
-        ChannelConfig cfg;
-        cfg.package = nand::hynixPackage();
-        cfg.package.geometry.pagesPerBlock = 8;
-        cfg.package.geometry.blocksPerPlane = 32;
-        cfg.chips = chips;
-        return cfg;
-    }
-
-    static ftl::FtlConfig
-    smallFtl()
-    {
-        ftl::FtlConfig cfg;
-        cfg.blocksPerChip = 8;
-        cfg.overprovision = 0.25;
-        return cfg;
-    }
-
-    /** A page-sized pattern unique to (lpn, gen). */
-    std::vector<std::uint8_t>
-    pattern(std::uint64_t lpn, std::uint64_t gen)
-    {
-        std::vector<std::uint8_t> page(ftl.pageBytes());
-        for (std::size_t i = 0; i < page.size(); ++i) {
-            page[i] = static_cast<std::uint8_t>(
-                (lpn * 131 + gen * 31 + i * 7) ^ (i >> 8));
-        }
-        return page;
-    }
-
-    /** Stage the (lpn, gen) pattern in DRAM and write it; returns the
-     *  host ack. Runs the queue to completion. */
-    bool
-    writeGen(std::uint64_t lpn, std::uint64_t gen)
-    {
-        std::vector<std::uint8_t> page = pattern(lpn, gen);
-        ctrl.backendDram().write(kHostBase, page);
-        bool ok = false, done = false;
-        ftl.writePage(lpn, kHostBase, [&](bool o) {
-            ok = o;
-            done = true;
-        });
-        eq.run();
-        EXPECT_TRUE(done);
-        return ok;
-    }
-
-    /** Read @p lpn back and compare against the (lpn, gen) pattern. */
-    bool
-    readsBackAs(std::uint64_t lpn, std::uint64_t gen)
-    {
-        bool ok = false, done = false;
-        ftl.readPage(lpn, kCheckBase, [&](bool o) {
-            ok = o;
-            done = true;
-        });
-        eq.run();
-        EXPECT_TRUE(done);
-        if (!ok)
-            return false;
-        std::vector<std::uint8_t> got(ftl.pageBytes());
-        ctrl.backendDram().read(kCheckBase, got);
-        return got == pattern(lpn, gen);
-    }
-
-    /** Transplant this rig's NAND cells into @p dst (its "next boot"). */
-    void
-    transplantInto(RecoveryRig &dst, std::uint32_t chips = 2)
-    {
-        for (std::uint32_t c = 0; c < chips; ++c)
-            dst.sys.lun(c).array().copyStateFrom(sys.lun(c).array());
-    }
-
-    bool
-    mountNow()
-    {
-        bool mounted = false;
-        ftl.mount([&](bool ok) { mounted = ok; });
-        eq.run();
-        return mounted;
-    }
-};
+using campaign::Rig;
 
 TEST(FtlRecovery, CleanShutdownRemountRestoresMapAndData)
 {
-    RecoveryRig rig;
+    Rig rig(2);
     // Twelve logical pages, four of them overwritten so stale copies
     // with older seqs are sitting on flash waiting to confuse a scan.
     for (std::uint64_t lpn = 0; lpn < 12; ++lpn)
-        ASSERT_TRUE(rig.writeGen(lpn, 1));
+        ASSERT_TRUE(rig.write(lpn, 1));
     for (std::uint64_t lpn = 0; lpn < 4; ++lpn)
-        ASSERT_TRUE(rig.writeGen(lpn, 2));
+        ASSERT_TRUE(rig.write(lpn, 2));
 
-    RecoveryRig boot2;
+    Rig boot2(2);
     rig.transplantInto(boot2);
-    ASSERT_TRUE(boot2.mountNow());
+    ASSERT_TRUE(boot2.mount());
 
     EXPECT_EQ(boot2.ftl.mountTornPages(), 0u);
     EXPECT_GT(boot2.ftl.mountPagesScanned(), 0u);
@@ -209,28 +107,25 @@ TEST(FtlRecovery, CleanShutdownRemountRestoresMapAndData)
 
 TEST(FtlRecovery, TornProgramLosesSeqArbitrationToLastDurableCopy)
 {
-    RecoveryRig rig;
-    ASSERT_TRUE(rig.writeGen(3, 1));
-    ASSERT_TRUE(rig.writeGen(3, 2));
+    Rig rig(2);
+    ASSERT_TRUE(rig.write(3, 1));
+    ASSERT_TRUE(rig.write(3, 2));
 
     // Launch generation 3 and cut power mid-program: tProg on this
     // part is 700 us, so 300 us after the issue the program is in
     // flight and the power cut tears it.
-    std::vector<std::uint8_t> page = rig.pattern(3, 3);
-    rig.ctrl.backendDram().write(RecoveryRig::kHostBase, page);
+    rig.stage(3, 3);
     bool acked = false;
-    rig.ftl.writePage(3, RecoveryRig::kHostBase,
-                      [&](bool) { acked = true; });
+    rig.ftl.writePage(3, campaign::kHostBase, [&](bool) { acked = true; });
     // run(limit) stops at the window edge — a raw step() loop would
     // overshoot into the program-completion event and commit the page.
     rig.eq.run(rig.eq.now() + ticks::fromUs(300));
     ASSERT_FALSE(acked) << "the cut must land before the ack";
-    for (std::uint32_t c = 0; c < 2; ++c)
-        rig.sys.lun(c).powerCut();
+    rig.powerCut();
 
-    RecoveryRig boot2;
+    Rig boot2(2);
     rig.transplantInto(boot2);
-    ASSERT_TRUE(boot2.mountNow());
+    ASSERT_TRUE(boot2.mount());
 
     // The torn generation-3 page has no valid OOB copy; arbitration
     // falls back to the youngest durable seq — generation 2, intact.
@@ -250,18 +145,18 @@ TEST(FtlRecovery, GrownDefectTableRebuiltFromOobJournalAlone)
     fault::FaultEngine &faults = SimContext::processDefault().faults;
     faults.arm(plan);
 
-    RecoveryRig rig;
+    Rig rig(2);
     for (std::uint64_t lpn = 0; lpn < 10; ++lpn)
-        ASSERT_TRUE(rig.writeGen(lpn, 1));
+        ASSERT_TRUE(rig.write(lpn, 1));
     std::vector<ftl::GrownDefect> table = rig.ftl.exportGrownDefects();
     ASSERT_FALSE(table.empty());
     faults.disarm();
 
     // The next boot has no side channel: the retirement must come back
     // from the OOB journal entry that rode a later program.
-    RecoveryRig boot2;
+    Rig boot2(2);
     rig.transplantInto(boot2);
-    ASSERT_TRUE(boot2.mountNow());
+    ASSERT_TRUE(boot2.mount());
 
     std::vector<ftl::GrownDefect> after = boot2.ftl.exportGrownDefects();
     ASSERT_EQ(after.size(), table.size());
@@ -273,7 +168,7 @@ TEST(FtlRecovery, GrownDefectTableRebuiltFromOobJournalAlone)
     // The recovered table keeps the bad block out of allocation: heavy
     // follow-up traffic never trips over it again.
     for (std::uint64_t lpn = 0; lpn < 10; ++lpn)
-        ASSERT_TRUE(boot2.writeGen(lpn, 2));
+        ASSERT_TRUE(boot2.write(lpn, 2));
     EXPECT_EQ(boot2.ftl.blocksRetired(), 0u);
     EXPECT_EQ(boot2.ftl.exportGrownDefects().size(), table.size());
 }
@@ -284,19 +179,19 @@ TEST(FtlRecovery, StaticWearLevellingBoundsTheSpread)
     cfg.blocksPerChip = 8;
     cfg.overprovision = 0.5;
     cfg.wearSpreadThreshold = 4;
-    RecoveryRig rig(cfg, 1);
+    Rig rig(1, cfg);
 
     // A pathologically skewed workload: 80% of writes hammer the
     // first quarter of the address space, the rest sits cold.
     const std::uint64_t extent = rig.ftl.logicalPages();
     Rng rng(77);
     for (std::uint64_t lpn = 0; lpn < extent; ++lpn)
-        ASSERT_TRUE(rig.writeGen(lpn, 1));
+        ASSERT_TRUE(rig.write(lpn, 1));
     for (int i = 0; i < 3000; ++i) {
         std::uint64_t lpn = rng.chance(0.8)
                                 ? rng.uniform(0, extent / 4 - 1)
                                 : rng.uniform(0, extent - 1);
-        ASSERT_TRUE(rig.writeGen(lpn, 2));
+        ASSERT_TRUE(rig.write(lpn, 2));
     }
 
     EXPECT_GT(rig.ftl.wearLevelRuns(), 0u)
@@ -308,10 +203,10 @@ TEST(FtlRecovery, StaticWearLevellingBoundsTheSpread)
 
 TEST(FtlRecovery, BufferedUnackedWritesMayVanishAckedOnesNever)
 {
-    ftl::FtlConfig cfg = RecoveryRig::smallFtl();
+    ftl::FtlConfig cfg = Rig::smallFtl();
     cfg.writeBufferPages = 4;
     cfg.writeBufferFlushUs = 200;
-    RecoveryRig rig(cfg);
+    Rig rig(2, cfg);
 
     // Five buffered writes, one an overwrite: the overwrite coalesces
     // in DRAM, the fill forces a flush, and every ack arrives only
@@ -319,10 +214,8 @@ TEST(FtlRecovery, BufferedUnackedWritesMayVanishAckedOnesNever)
     int acks = 0;
     std::vector<std::uint64_t> lpns = {0, 0, 1, 2, 3};
     for (std::uint64_t lpn : lpns) {
-        std::vector<std::uint8_t> page =
-            rig.pattern(lpn, lpn == 0 ? 2 : 1);
-        rig.ctrl.backendDram().write(RecoveryRig::kHostBase, page);
-        rig.ftl.writePage(lpn, RecoveryRig::kHostBase, [&](bool ok) {
+        rig.stage(lpn, lpn == 0 ? 2 : 1);
+        rig.ftl.writePage(lpn, campaign::kHostBase, [&](bool ok) {
             EXPECT_TRUE(ok);
             ++acks;
         });
@@ -335,19 +228,17 @@ TEST(FtlRecovery, BufferedUnackedWritesMayVanishAckedOnesNever)
     // A sixth write parks in the buffer; power is cut before the
     // flush timer (200 us) fires, so it was never acknowledged — and
     // never durable. That is the contract: unacked data may vanish.
-    std::vector<std::uint8_t> page = rig.pattern(7, 1);
-    rig.ctrl.backendDram().write(RecoveryRig::kHostBase, page);
+    rig.stage(7, 1);
     bool late_ack = false;
-    rig.ftl.writePage(7, RecoveryRig::kHostBase,
+    rig.ftl.writePage(7, campaign::kHostBase,
                       [&](bool) { late_ack = true; });
     rig.eq.run(rig.eq.now() + ticks::fromUs(50));
     ASSERT_FALSE(late_ack);
-    for (std::uint32_t c = 0; c < 2; ++c)
-        rig.sys.lun(c).powerCut();
+    rig.powerCut();
 
-    RecoveryRig boot2(cfg);
+    Rig boot2(2, cfg);
     rig.transplantInto(boot2);
-    ASSERT_TRUE(boot2.mountNow());
+    ASSERT_TRUE(boot2.mount());
 
     EXPECT_TRUE(boot2.readsBackAs(0, 2));
     for (std::uint64_t lpn = 1; lpn < 4; ++lpn)
@@ -381,39 +272,33 @@ twoChannelSsd()
 std::uint64_t
 mountDigest(EventQueue &eq, ftl::PageFtl &ftl, core::FlashBackend &dev)
 {
-    std::uint64_t fnv = 1469598103934665603ull;
-    auto fold = [&fnv](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            fnv ^= (v >> (8 * i)) & 0xFF;
-            fnv *= 1099511628211ull;
-        }
-    };
+    campaign::Digest digest;
     const std::uint64_t check = 24 << 20;
     std::vector<std::uint8_t> got(ftl.pageBytes());
     for (std::uint64_t lpn = 0; lpn < ftl.logicalPages(); ++lpn) {
-        fold(lpn);
-        fold(ftl.isMapped(lpn) ? 1 : 0);
+        digest.fold(lpn);
+        digest.fold(ftl.isMapped(lpn) ? 1 : 0);
         if (!ftl.isMapped(lpn))
             continue;
         bool ok = false;
         ftl.readPage(lpn, check, [&](bool o) { ok = o; });
         eq.run();
-        fold(ok ? 1 : 0);
+        digest.fold(ok ? 1 : 0);
         dev.backendDram().read(check, got);
         for (int i = 0; i < 16; ++i)
-            fold(got[i]);
+            digest.fold(got[i]);
     }
-    fold(ftl.mountPagesScanned());
-    fold(ftl.mountTornPages());
+    digest.fold(ftl.mountPagesScanned());
+    digest.fold(ftl.mountTornPages());
     for (std::uint32_t chip = 0; chip < 4; ++chip) {
-        fold(ftl.maxEraseCount(chip));
-        fold(ftl.wearSpread(chip));
+        digest.fold(ftl.maxEraseCount(chip));
+        digest.fold(ftl.wearSpread(chip));
     }
     for (const ftl::GrownDefect &d : ftl.exportGrownDefects()) {
-        fold(d.chip);
-        fold(d.block);
+        digest.fold(d.chip);
+        digest.fold(d.block);
     }
-    return fnv;
+    return digest.value();
 }
 
 TEST(FtlRecovery, TornMountIsByteIdenticalAcrossRemounts)
@@ -422,7 +307,7 @@ TEST(FtlRecovery, TornMountIsByteIdenticalAcrossRemounts)
     // overwritten extent plus one torn program from a power cut.
     EventQueue eq;
     ssd::Ssd dev(eq, "ssd", twoChannelSsd());
-    ftl::PageFtl ftl(eq, "ftl", dev, RecoveryRig::smallFtl());
+    ftl::PageFtl ftl(eq, "ftl", dev, Rig::smallFtl());
 
     const std::uint64_t host = 16 << 20;
     std::vector<std::uint8_t> page(ftl.pageBytes());
@@ -466,7 +351,7 @@ TEST(FtlRecovery, TornMountIsByteIdenticalAcrossRemounts)
     for (int boot_no = 0; boot_no < 2; ++boot_no) {
         EventQueue beq;
         ssd::Ssd boot(beq, "ssd", twoChannelSsd());
-        ftl::PageFtl ftl2(beq, "ftl", boot, RecoveryRig::smallFtl());
+        ftl::PageFtl ftl2(beq, "ftl", boot, Rig::smallFtl());
         for (std::uint32_t ch = 0; ch < 2; ++ch)
             for (std::uint32_t c = 0; c < 2; ++c)
                 boot.channelSystem(ch).lun(c).array().copyStateFrom(

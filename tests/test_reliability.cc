@@ -15,7 +15,7 @@
 
 #include <vector>
 
-#include "core/hw/hw_controller.hh"
+#include "campaign/rig.hh"
 #include "ftl/ftl.hh"
 #include "nand/flash_array.hh"
 #include "nand/timing.hh"
@@ -104,83 +104,6 @@ TEST(RberModel, WearAndRetryLevelShapeTheCurve)
 }
 
 // ---------------------------------------------------------------------
-// Shared FTL rig
-// ---------------------------------------------------------------------
-
-struct ReliabilityRig
-{
-    EventQueue eq;
-    ChannelSystem sys;
-    HwController ctrl;
-    ftl::PageFtl ftl;
-
-    static constexpr std::uint64_t kHostBase = 16 << 20;
-    static constexpr std::uint64_t kCheckBase = 24 << 20;
-
-    explicit ReliabilityRig(std::uint32_t chips,
-                            ftl::FtlConfig fcfg)
-        : sys(eq, "ssd", makeChannel(chips)),
-          ctrl(eq, "ctrl", sys, false), ftl(eq, "ftl", ctrl, fcfg)
-    {
-        ctrl.setMaxReadRetries(4);
-    }
-
-    static ChannelConfig
-    makeChannel(std::uint32_t chips)
-    {
-        ChannelConfig cfg;
-        cfg.package = nand::hynixPackage();
-        cfg.package.geometry.pagesPerBlock = 8;
-        cfg.package.geometry.blocksPerPlane = 32;
-        cfg.chips = chips;
-        return cfg;
-    }
-
-    std::vector<std::uint8_t>
-    pattern(std::uint64_t lpn, std::uint64_t gen)
-    {
-        std::vector<std::uint8_t> page(ftl.pageBytes());
-        for (std::size_t i = 0; i < page.size(); ++i) {
-            page[i] = static_cast<std::uint8_t>(
-                (lpn * 131 + gen * 31 + i * 7) ^ (i >> 8));
-        }
-        return page;
-    }
-
-    bool
-    writeGen(std::uint64_t lpn, std::uint64_t gen)
-    {
-        std::vector<std::uint8_t> page = pattern(lpn, gen);
-        ctrl.backendDram().write(kHostBase, page);
-        bool ok = false, done = false;
-        ftl.writePage(lpn, kHostBase, [&](bool o) {
-            ok = o;
-            done = true;
-        });
-        eq.run();
-        EXPECT_TRUE(done);
-        return ok;
-    }
-
-    bool
-    readsBackAs(std::uint64_t lpn, std::uint64_t gen)
-    {
-        bool ok = false, done = false;
-        ftl.readPage(lpn, kCheckBase, [&](bool o) {
-            ok = o;
-            done = true;
-        });
-        eq.run();
-        EXPECT_TRUE(done);
-        if (!ok)
-            return false;
-        std::vector<std::uint8_t> got(ftl.pageBytes());
-        ctrl.backendDram().read(kCheckBase, got);
-        return got == pattern(lpn, gen);
-    }
-};
-
-// ---------------------------------------------------------------------
 // Patrol scrubber: anti-starvation bound
 // ---------------------------------------------------------------------
 
@@ -190,11 +113,11 @@ TEST(PatrolScrub, ForcedSlotsBoundStarvationUnderSaturation)
     fcfg.blocksPerChip = 16;
     fcfg.overprovision = 0.25;
     fcfg.reliabilityScratchPages = 4;
-    ReliabilityRig rig(2, fcfg);
+    campaign::Rig rig(2, fcfg);
 
     // Seed live pages for the patrol to walk.
     for (std::uint64_t lpn = 0; lpn < 24; ++lpn)
-        ASSERT_TRUE(rig.writeGen(lpn, 1));
+        ASSERT_TRUE(rig.write(lpn, 1));
 
     reliability::ScrubConfig scfg;
     scfg.intervalUs = 20;
@@ -215,10 +138,8 @@ TEST(PatrolScrub, ForcedSlotsBoundStarvationUnderSaturation)
         const std::uint64_t lpn = issued % 24;
         const std::uint64_t gen = 2 + issued / 24;
         ++issued;
-        std::vector<std::uint8_t> page = rig.pattern(lpn, gen);
-        rig.ctrl.backendDram().write(ReliabilityRig::kHostBase, page);
-        rig.ftl.writePage(lpn, ReliabilityRig::kHostBase,
-                          [&](bool ok) {
+        rig.stage(lpn, gen);
+        rig.ftl.writePage(lpn, campaign::kHostBase, [&](bool ok) {
             ASSERT_TRUE(ok);
             next();
         });
@@ -252,7 +173,7 @@ TEST(Rain, DieFailureMidChurnLosesNothing)
         fcfg.blocksPerChip = 16;
         fcfg.overprovision = 0.25;
         fcfg.reliabilityScratchPages = 8;
-        ReliabilityRig rig(4, fcfg);
+        campaign::Rig rig(4, fcfg);
         reliability::RainManager rain(rig.eq, "rain", rig.ftl);
 
         // Three overwrite rounds on 80 LPNs: enough churn that GC has
@@ -262,19 +183,19 @@ TEST(Rain, DieFailureMidChurnLosesNothing)
         std::vector<std::uint64_t> gen(kExtent, 0);
         for (std::uint64_t g = 1; g <= 3; ++g)
             for (std::uint64_t lpn = 0; lpn < kExtent; ++lpn) {
-                ASSERT_TRUE(rig.writeGen(lpn, g));
+                ASSERT_TRUE(rig.write(lpn, g));
                 gen[lpn] = g;
             }
 
         // Kill chip 1 under the FTL's feet.
-        faults.failDie(rig.ctrl.backendChipName(1), rig.eq.now());
+        faults.failDie(rig.ctrl->backendChipName(1), rig.eq.now());
         rig.ftl.markChipDead(1);
         ASSERT_TRUE(faults.dieDead("ssd.pkg1"));
 
         // Keep writing through the failure, then let the background
         // rebuild sweep drain.
         for (std::uint64_t lpn = 0; lpn < kExtent; lpn += 2) {
-            ASSERT_TRUE(rig.writeGen(lpn, 4));
+            ASSERT_TRUE(rig.write(lpn, 4));
             gen[lpn] = 4;
         }
         rig.eq.run();
