@@ -98,6 +98,20 @@ BM_EccDecode(benchmark::State &state)
 BENCHMARK(BM_EccDecode);
 
 void
+BM_EccExtract(benchmark::State &state)
+{
+    EccEngine ecc;
+    std::vector<std::uint8_t> page(16384, 0xA7);
+    auto image = ecc.encode(page);
+    for (auto _ : state) {
+        auto data = ecc.extractData(image, 16384);
+        benchmark::DoNotOptimize(data.data());
+    }
+    state.SetBytesProcessed(state.iterations() * 16384);
+}
+BENCHMARK(BM_EccExtract);
+
+void
 BM_LunStatusPollDecode(benchmark::State &state)
 {
     EventQueue eq;

@@ -39,10 +39,17 @@
 #                  data loss, byte-identical rerun digests, a surviving
 #                  block failure, and the no-RAIN control that MUST lose
 #                  data (same build requirement)
+#   --e2e-smoke-only  end-to-end benchmark smoke: builds e2ebench/ (its
+#                  own Release CMake project over the simulator sources)
+#                  into build/e2ebench and runs e2ebench/smoke_test.py,
+#                  every workload untraced and traced at 2% scale, so a
+#                  src/ API change that breaks e2ebench/adapter.cc, or a
+#                  traced run whose simulated digest differs from the
+#                  untraced one, fails here
 #
 # Usage: scripts/ci.sh
 #   [--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|
-#    --guard-only|--reliability-only]
+#    --guard-only|--reliability-only|--e2e-smoke-only]
 
 set -euo pipefail
 
@@ -241,6 +248,12 @@ stage_reliability() {
     echo "    control lost data as expected (exit 4)"
 }
 
+stage_e2e_smoke() {
+    echo "=== tier-1: end-to-end benchmark smoke ==="
+    (cd "$ROOT" &&
+        CARGO_TARGET_DIR="$ROOT/build/e2ebench" python3 e2ebench/smoke_test.py)
+}
+
 # Bench-regression guard: the event kernel's throughput must stay
 # within 15% of the committed baseline. One retry absorbs machine
 # noise; the comparison uses sed/awk only, no extra tooling.
@@ -351,6 +364,7 @@ case "$MODE" in
   --crash-only) stage_crash ;;
   --guard-only) stage_guard ;;
   --reliability-only) stage_reliability ;;
+  --e2e-smoke-only) stage_e2e_smoke ;;
   all)
     stage_plain
     stage_audit
@@ -359,10 +373,11 @@ case "$MODE" in
     stage_asan
     stage_tsan
     stage_guard
+    stage_e2e_smoke
     ;;
   *)
     echo "usage: scripts/ci.sh" \
-         "[--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|--guard-only|--reliability-only]" \
+         "[--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|--guard-only|--reliability-only|--e2e-smoke-only]" \
          >&2
     exit 2
     ;;

@@ -1,10 +1,78 @@
 #include "ecc.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "sim/logging.hh"
 
 namespace babol::core {
+
+namespace {
+
+/** Little-endian 64-bit load, so the parity is the same on every host. */
+std::uint64_t
+loadLe64(const std::uint8_t *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+/** Full-avalanche 64-bit mix (the MurmurHash3 finaliser). */
+std::uint64_t
+mix64(std::uint64_t h)
+{
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+}
+
+/**
+ * The parity the real encoder would compute, as a 32-bit hash of the
+ * codeword's data. Four independent lanes take 8-byte words in turn
+ * (l = (l ^ word) * k with odd k, a bijection in each word, so a change
+ * to any one word always changes its lane); a short tail is zero-padded
+ * to one more round, and the lanes and the length are then folded
+ * through a full multiply-xor mix.
+ */
+std::uint32_t
+checksum(std::span<const std::uint8_t> data)
+{
+    constexpr std::uint64_t kA = 0x9e3779b97f4a7c15ull;
+    constexpr std::uint64_t kB = 0xc2b2ae3d27d4eb4full;
+    constexpr std::uint64_t kC = 0x165667b19e3779f9ull;
+    constexpr std::uint64_t kD = 0x27d4eb2f165667c5ull;
+    std::uint64_t a = 0x243f6a8885a308d3ull, b = 0x13198a2e03707344ull,
+                  c = 0xa4093822299f31d0ull, d = 0x082efa98ec4e6c89ull;
+    auto round = [&](const std::uint8_t *p) {
+        a = (a ^ loadLe64(p)) * kA;
+        b = (b ^ loadLe64(p + 8)) * kB;
+        c = (c ^ loadLe64(p + 16)) * kC;
+        d = (d ^ loadLe64(p + 24)) * kD;
+    };
+    const std::uint8_t *p = data.data();
+    std::size_t n = data.size();
+    for (; n >= 32; p += 32, n -= 32)
+        round(p);
+    if (n > 0) {
+        std::uint8_t tail[32] = {};
+        std::memcpy(tail, p, n);
+        round(tail);
+    }
+
+    std::uint64_t h = mix64(data.size() * kA);
+    for (std::uint64_t lane : {a, b, c, d})
+        h = mix64(h ^ lane);
+    return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+} // namespace
 
 std::uint32_t
 EccEngine::codewordsFor(std::uint32_t data_bytes) const
@@ -28,18 +96,6 @@ EccEngine::flashColumnFor(std::uint32_t payload_column) const
            codewordTotalBytes();
 }
 
-std::uint32_t
-EccEngine::checksum(std::span<const std::uint8_t> data) const
-{
-    // FNV-1a; stands in for the parity the real encoder would compute.
-    std::uint32_t h = 2166136261u;
-    for (std::uint8_t b : data) {
-        h ^= b;
-        h *= 16777619u;
-    }
-    return h;
-}
-
 std::vector<std::uint8_t>
 EccEngine::encode(std::span<const std::uint8_t> data) const
 {
@@ -55,10 +111,8 @@ EccEngine::encode(std::span<const std::uint8_t> data) const
         std::size_t len = std::min<std::size_t>(cw_data,
                                                 data.size() - src);
         std::size_t dst = static_cast<std::size_t>(cw) * cw_total;
-        std::copy(data.begin() + src, data.begin() + src + len,
-                  image.begin() + dst);
-        std::fill(image.begin() + dst + len, image.begin() + dst + cw_data,
-                  0xFF);
+        // A short last codeword keeps the erased 0xFF padding.
+        std::copy_n(data.begin() + src, len, image.begin() + dst);
 
         std::uint32_t sum = checksum(
             std::span<const std::uint8_t>(image.data() + dst, cw_data));
@@ -132,17 +186,24 @@ std::vector<std::uint8_t>
 EccEngine::extractData(std::span<const std::uint8_t> image,
                        std::uint32_t data_bytes) const
 {
-    const std::uint32_t cw_data = params_.codewordDataBytes;
-    const std::uint32_t cw_total = codewordTotalBytes();
     std::vector<std::uint8_t> data(data_bytes);
-    for (std::uint32_t off = 0; off < data_bytes; ++off) {
-        std::uint32_t cw = off / cw_data;
-        std::uint32_t in_cw = off % cw_data;
-        std::size_t src = static_cast<std::size_t>(cw) * cw_total + in_cw;
-        babol_assert(src < image.size(), "extract past end of image");
-        data[off] = image[src];
-    }
+    extractInto(image, data);
     return data;
+}
+
+void
+EccEngine::extractInto(std::span<const std::uint8_t> image,
+                       std::span<std::uint8_t> out) const
+{
+    const std::size_t cw_data = params_.codewordDataBytes;
+    const std::size_t cw_total = codewordTotalBytes();
+    std::size_t src = 0;
+    for (std::size_t off = 0; off < out.size();
+         off += cw_data, src += cw_total) {
+        const std::size_t len = std::min(cw_data, out.size() - off);
+        babol_assert(src + len <= image.size(), "extract past end of image");
+        std::copy_n(image.begin() + src, len, out.begin() + off);
+    }
 }
 
 } // namespace babol::core

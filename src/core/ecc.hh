@@ -3,12 +3,14 @@
  * The controller-side ECC engine model.
  *
  * Pages are split into fixed-size codewords; each codeword's data is
- * followed by its parity in the spare area. Encoding stamps a checksum
- * into the parity region (an end-to-end integrity tripwire); decoding
- * "corrects" up to `correctBits` flipped bits per codeword using the
- * flash model's sideband flip list — the standard simulation stand-in
- * for a real BCH/LDPC decoder — and reports codewords whose error count
- * exceeds the capability, which is what triggers read-retry.
+ * followed by its parity in the spare area. Encoding stamps a 32-bit
+ * checksum of the codeword's data into the first four parity bytes (an
+ * end-to-end integrity tripwire; the other parity bytes are zero and
+ * unchecked); decoding "corrects" up to `correctBits` flipped bits per
+ * codeword using the flash model's sideband flip list — the standard
+ * simulation stand-in for a real BCH/LDPC decoder — and reports
+ * codewords whose error count exceeds the capability, which is what
+ * triggers read-retry.
  */
 
 #ifndef BABOL_CORE_ECC_HH
@@ -96,9 +98,14 @@ class EccEngine
     extractData(std::span<const std::uint8_t> image,
                 std::uint32_t data_bytes) const;
 
-  private:
-    std::uint32_t checksum(std::span<const std::uint8_t> data) const;
+    /**
+     * Extract the first out.size() payload bytes of a decoded flash
+     * image into @p out, one copy per codeword.
+     */
+    void extractInto(std::span<const std::uint8_t> image,
+                     std::span<std::uint8_t> out) const;
 
+  private:
     EccParams params_;
 };
 

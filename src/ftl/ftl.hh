@@ -183,6 +183,13 @@ class PageFtl : public SimObject
     /** Where an LPN currently lives, or nullopt when unmapped. */
     std::optional<Ppa> mappedPpa(std::uint64_t lpn) const;
 
+    /** Lowest DRAM address the FTL reserves: its staging pages fill
+     *  [reservedDramBase(), DRAM end), the host owns what lies below. */
+    std::uint64_t reservedDramBase() const
+    {
+        return reliabilityScratchBase_;
+    }
+
     /** DRAM address of reliability staging slot @p slot. */
     std::uint64_t reliabilityScratchAddr(std::uint32_t slot) const;
 

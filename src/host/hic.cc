@@ -23,16 +23,19 @@ Hic::Hic(EventQueue &eq, const std::string &name, ftl::PageFtl &ftl,
                  ftl.pageBytes(), cfg_.sectorBytes);
     sectorsPerPage_ = ftl.pageBytes() / cfg_.sectorBytes;
 
-    // Scratch slots sit just below the FTL's GC page at the top of DRAM.
-    dram::DramBuffer &dram = ftl_.backend().backendDram();
-    std::uint64_t needed =
-        static_cast<std::uint64_t>(cfg_.scratchSlots + 1) *
-        ftl.pageBytes();
-    babol_assert(dram.size() > needed, "DRAM too small for HIC scratch");
+    // Scratch slots sit just below the FTL's reserved staging region at
+    // the top of DRAM.
+    const std::uint64_t base = ftl.reservedDramBase();
+    const std::uint64_t needed =
+        static_cast<std::uint64_t>(cfg_.scratchSlots) * ftl.pageBytes();
+    babol_assert(base >= needed,
+                 "DRAM too small for HIC scratch below the FTL's %llu "
+                 "reserved bytes",
+                 static_cast<unsigned long long>(
+                     ftl_.backend().backendDram().size() - base));
     for (std::uint32_t i = 0; i < cfg_.scratchSlots; ++i) {
-        freeScratch_.push_back(dram.size() -
-                               static_cast<std::uint64_t>(i + 2) *
-                                   ftl.pageBytes());
+        freeScratch_.push_back(base - static_cast<std::uint64_t>(i + 1) *
+                                          ftl.pageBytes());
     }
 }
 

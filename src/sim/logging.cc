@@ -1,5 +1,6 @@
 #include "logging.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -100,18 +101,30 @@ flagSet()
     return flags;
 }
 
+/** True while any flag is enabled: dtrace's disabled path checks only
+ *  this, before building a string or searching the set. Kept in step
+ *  with flagSet() by enable/disable/clearAll. */
+std::atomic<bool> &
+anyFlag()
+{
+    static std::atomic<bool> any{!flagSet().empty()};
+    return any;
+}
+
 } // namespace
 
 void
 DebugFlags::enable(const std::string &flag)
 {
     flagSet().insert(flag);
+    anyFlag().store(true, std::memory_order_relaxed);
 }
 
 void
 DebugFlags::disable(const std::string &flag)
 {
     flagSet().erase(flag);
+    anyFlag().store(!flagSet().empty(), std::memory_order_relaxed);
 }
 
 bool
@@ -125,12 +138,14 @@ void
 DebugFlags::clearAll()
 {
     flagSet().clear();
+    anyFlag().store(false, std::memory_order_relaxed);
 }
 
 void
 dtrace(const char *flag, const char *fmt, ...)
 {
-    if (!DebugFlags::enabled(flag))
+    if (!anyFlag().load(std::memory_order_relaxed) ||
+        !DebugFlags::enabled(flag))
         return;
     std::va_list args;
     va_start(args, fmt);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "core/ecc.hh"
 #include "sim/random.hh"
@@ -15,6 +16,18 @@ using namespace babol;
 using namespace babol::core;
 
 namespace {
+
+/** Extract through both entry points; they must agree byte for byte. */
+std::vector<std::uint8_t>
+extractBoth(const EccEngine &ecc, std::span<const std::uint8_t> image,
+            std::uint32_t data_bytes)
+{
+    std::vector<std::uint8_t> into(data_bytes);
+    ecc.extractInto(image, into);
+    std::vector<std::uint8_t> data = ecc.extractData(image, data_bytes);
+    EXPECT_EQ(into, data);
+    return data;
+}
 
 TEST(Ecc, LayoutQuantities)
 {
@@ -51,7 +64,7 @@ TEST(Ecc, EncodeDecodeCleanRoundTrip)
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.codewords, 4u);
     EXPECT_EQ(report.correctedBits, 0u);
-    EXPECT_EQ(ecc.extractData(image, 4096), data);
+    EXPECT_EQ(extractBoth(ecc, image, 4096), data);
 }
 
 TEST(Ecc, CorrectsUpToCapability)
@@ -69,7 +82,7 @@ TEST(Ecc, CorrectsUpToCapability)
     EccReport report = ecc.decode(image, 0, flips);
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.correctedBits, 8u);
-    EXPECT_EQ(ecc.extractData(image, 1024), data);
+    EXPECT_EQ(extractBoth(ecc, image, 1024), data);
 }
 
 TEST(Ecc, FailsBeyondCapabilityAndLeavesCodewordDirty)
@@ -92,7 +105,7 @@ TEST(Ecc, FailsBeyondCapabilityAndLeavesCodewordDirty)
     EXPECT_EQ(report.correctedBits, 1u); // only codeword 1 corrected
 
     // Codeword 1's payload is intact; codeword 0's is not.
-    auto extracted = ecc.extractData(image, 2048);
+    auto extracted = extractBoth(ecc, image, 2048);
     EXPECT_NE(std::vector<std::uint8_t>(extracted.begin(),
                                         extracted.begin() + 1024),
               std::vector<std::uint8_t>(1024, 0x11));
@@ -118,7 +131,7 @@ TEST(Ecc, PartialCaptureUsesPageColumn)
     EccReport report = ecc.decode(slice, page_col, flips);
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.correctedBits, 1u);
-    EXPECT_EQ(ecc.extractData(slice, 4096),
+    EXPECT_EQ(extractBoth(ecc, slice, 4096),
               std::vector<std::uint8_t>(4096, 0x3C));
 }
 
@@ -134,12 +147,98 @@ TEST(Ecc, FlipsOutsideCaptureAreIgnored)
     EXPECT_EQ(report.correctedBits, 0u);
 }
 
-TEST(Ecc, RawUnencodedPagesFailChecksum)
+/** Pages programmed raw (never through encode) must fail the tripwire,
+ *  whether the capture is one codeword or several. */
+TEST(Ecc, RawCodewordsFailChecksum)
 {
     EccEngine ecc;
-    std::vector<std::uint8_t> raw(1141, 0xFF); // never went through encode
-    EccReport report = ecc.decode(raw, 0, {});
-    EXPECT_FALSE(report.ok());
+    for (std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+        std::vector<std::uint8_t> one(1141, fill);
+        EccReport report = ecc.decode(one, 0, {});
+        EXPECT_FALSE(report.ok()) << "fill " << int(fill);
+        EXPECT_EQ(report.failedCodewords, 1u) << "fill " << int(fill);
+
+        std::vector<std::uint8_t> page(ecc.flashBytesFor(16384), fill);
+        report = ecc.decode(page, 0, {});
+        EXPECT_EQ(report.codewords, 16u);
+        EXPECT_EQ(report.failedCodewords, 16u) << "fill " << int(fill);
+    }
+}
+
+/**
+ * The checksum is only a tripwire, but every single-bit error it covers
+ * must trip it: flip each bit of the data bytes and of the four stored
+ * checksum bytes without reporting it in the sideband list.
+ */
+TEST(Ecc, EveryUnreportedDataBitFlipFailsDecode)
+{
+    EccEngine ecc;
+    const std::uint32_t covered = 1024 + 4;
+    std::vector<std::vector<std::uint8_t>> patterns = {
+        std::vector<std::uint8_t>(1024, 0x00),
+        std::vector<std::uint8_t>(1024, 0xFF),
+        std::vector<std::uint8_t>(1024)};
+    Rng rng(0x7219);
+    for (auto &b : patterns[2])
+        b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+
+    for (std::size_t p = 0; p < patterns.size(); ++p) {
+        const auto image = ecc.encode(patterns[p]);
+        auto clean = image;
+        ASSERT_TRUE(ecc.decode(clean, 0, {}).ok());
+        std::uint32_t missed = 0;
+        for (std::uint32_t bit = 0; bit < covered * 8; ++bit) {
+            auto dirty = image;
+            dirty[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            if (ecc.decode(dirty, 0, {}).ok())
+                ++missed;
+        }
+        EXPECT_EQ(missed, 0u) << "pattern " << p;
+    }
+}
+
+/** Reference extract: one payload byte at a time. */
+std::vector<std::uint8_t>
+extractByteByByte(const EccEngine &ecc, const std::vector<std::uint8_t> &image,
+                  std::uint32_t data_bytes)
+{
+    const std::uint32_t cw_data = ecc.params().codewordDataBytes;
+    std::vector<std::uint8_t> data(data_bytes);
+    for (std::uint32_t off = 0; off < data_bytes; ++off)
+        data[off] = image.at(static_cast<std::size_t>(off / cw_data) *
+                                 ecc.codewordTotalBytes() +
+                             off % cw_data);
+    return data;
+}
+
+TEST(Ecc, ExtractHandlesPartialLastCodeword)
+{
+    EccEngine ecc;
+    std::vector<std::uint8_t> data(3000);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    const auto image = ecc.encode(data);
+    ASSERT_EQ(image.size(), 3u * 1141u);
+    // The short last codeword is padded with erased bytes and decodes.
+    EXPECT_TRUE(std::all_of(image.begin() + 2 * 1141 + 952,
+                            image.begin() + 2 * 1141 + 1024,
+                            [](std::uint8_t b) { return b == 0xFF; }));
+    auto clean = image;
+    EXPECT_TRUE(ecc.decode(clean, 0, {}).ok());
+
+    for (std::uint32_t len : {3000u, 2049u, 1024u, 1023u, 1u, 0u}) {
+        const auto want = extractByteByByte(ecc, image, len);
+        EXPECT_EQ(want, std::vector<std::uint8_t>(data.begin(),
+                                                  data.begin() + len));
+        EXPECT_EQ(ecc.extractData(image, len), want) << "len " << len;
+        std::vector<std::uint8_t> out(len, 0x5A);
+        ecc.extractInto(image, out);
+        EXPECT_EQ(out, want) << "len " << len;
+    }
+    // Past the last codeword's data is the extract's bounds check.
+    EXPECT_THROW(ecc.extractData(image, 3u * 1024u + 1u), SimPanic);
+    std::vector<std::uint8_t> too_long(3u * 1024u + 1u);
+    EXPECT_THROW(ecc.extractInto(image, too_long), SimPanic);
 }
 
 TEST(Ecc, NonCodewordAlignedDecodePanics)
@@ -197,7 +296,7 @@ TEST(Ecc, RandomFlipFuzz)
         }
         EccReport report = ecc.decode(image, 0, flips);
         EXPECT_TRUE(report.ok()) << "trial " << trial;
-        EXPECT_EQ(ecc.extractData(image, 4096), data) << "trial " << trial;
+        EXPECT_EQ(extractBoth(ecc, image, 4096), data) << "trial " << trial;
     }
 }
 

@@ -408,6 +408,32 @@ TEST(Logging, DebugFlagsToggle)
     DebugFlags::clearAll();
 }
 
+/** dtrace prints only while its flag (or All) is on, including after the
+ *  last enabled flag is switched back off. */
+TEST(Logging, DtraceFollowsEnableAndDisable)
+{
+    auto traced = [](const char *flag) {
+        testing::internal::CaptureStderr();
+        dtrace(flag, "n=%d", 7);
+        return testing::internal::GetCapturedStderr();
+    };
+    DebugFlags::clearAll();
+    EXPECT_EQ(traced("Lun"), "");
+    DebugFlags::enable("Lun");
+    EXPECT_EQ(traced("Lun"), "Lun: n=7\n");
+    EXPECT_EQ(traced("Bus"), "");
+    DebugFlags::disable("Lun");
+    EXPECT_FALSE(DebugFlags::enabled("Lun"));
+    EXPECT_EQ(traced("Lun"), "");
+
+    DebugFlags::enable("All");
+    EXPECT_TRUE(DebugFlags::enabled("Lun"));
+    EXPECT_EQ(traced("Lun"), "Lun: n=7\n");
+    EXPECT_EQ(traced("ExecUnit"), "ExecUnit: n=7\n");
+    DebugFlags::clearAll();
+    EXPECT_EQ(traced("Lun"), "");
+}
+
 TEST(Table, AlignsAndCounts)
 {
     Table t({"a", "bbbb"});
