@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "obs/hub.hh"
+#include "obs/label.hh"
 #include "sim/types.hh"
 
 namespace babol::chan {
@@ -69,13 +70,13 @@ class BusTrace
 
     /**
      * Record one segment [start, end] under this trace's track. The
-     * label is interned — zero allocation for repeat labels. Returns
+     * label is already interned, so recording allocates nothing. Returns
      * the segment's span id (kNoSpan when recording is off); pass a
      * reserved @p span to record under a pre-minted id.
      */
     obs::SpanId
     record(Tick start, Tick end, std::uint32_t ce_mask,
-           std::string_view label, obs::SpanId parent = obs::kNoSpan,
+           obs::Label label, obs::SpanId parent = obs::kNoSpan,
            obs::SpanId span = obs::kNoSpan)
     {
         if (!enabled())
@@ -89,7 +90,7 @@ class BusTrace
         record.parent = parent;
         record.arg = ce_mask;
         record.track = track_;
-        record.label = r.interner().intern(label);
+        record.label = label.id();
         r.push(record);
         return record.span;
     }

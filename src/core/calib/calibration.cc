@@ -14,9 +14,11 @@ setTimingModeOp(OpEnv &env, std::uint32_t chip, std::uint8_t mode_p1)
     txn.add(CaWriter::command(opcode::kSetFeatures)
                 .addr({feature::kTimingMode}));
     txn.add(Timer{env.timing().tAdl});
+    // The frame holds the parameters until the transaction completes.
+    const std::array<std::uint8_t, 4> params = {mode_p1, 0, 0, 0};
     DataWriter dw;
     dw.bytes = 4;
-    dw.inlineData = {mode_p1, 0, 0, 0};
+    dw.inlineData = params;
     txn.add(dw);
     co_await env.rt.submit(std::move(txn));
 

@@ -12,7 +12,8 @@ CoroController::CoroController(EventQueue &eq, const std::string &name,
           makeTxnScheduler(cfg.txnPolicy), SoftwareCosts::coroutine()),
       tasks_(makeTaskScheduler(cfg.taskPolicy)),
       env_{rt_, sys},
-      chipBusy_(sys.chipCount(), false)
+      chipBusy_(sys.chipCount(), false),
+      live_(sys.chipCount())
 {
     governMeter(cpu_.powerMeter());
 }
@@ -74,40 +75,43 @@ CoroController::startRequest(FlashRequest req)
 {
     chipBusy_[req.chip] = true;
     noteOpStart(req);
-    std::uint64_t id = nextId_++;
+    const std::uint32_t chip = req.chip;
 
-    auto live = std::make_unique<Live>();
-    live->req = std::move(req);
-    live->op = dispatch(live->req);
+    Live &live = live_[chip];
+    babol_assert(!live.op.handle(), "chip %u already runs an op", chip);
+    live.req = std::move(req);
+    // The op's frame copies the request; keep the callback out of it.
+    live.onComplete = std::move(live.req.onComplete);
+    live.op = dispatch(live.req);
+    ++liveCount_;
 
     // The completion hook runs inside the coroutine's final suspend;
     // defer the real completion work to ISR context so the frame can be
     // destroyed safely (and so completion costs CPU cycles).
-    live->op.setOnDone([this, id] {
+    live.op.setOnDone([this, chip] {
         cpu_.execute(rt_.costs().completionIsr,
-                     [this, id] { completeRequest(id); },
+                     [this, chip] { completeRequest(chip); },
                      "op completion isr");
     });
 
-    Op<OpResult>::Handle handle = live->op.handle();
-    live_.emplace(id, std::move(live));
-    rt_.startOp(handle);
+    rt_.startOp(live.op.handle());
 }
 
 void
-CoroController::completeRequest(std::uint64_t id)
+CoroController::completeRequest(std::uint32_t chip)
 {
-    auto it = live_.find(id);
-    babol_assert(it != live_.end(), "completion for unknown op %llu",
-                 static_cast<unsigned long long>(id));
-    Live &live = *it->second;
+    Live &live = live_[chip];
+    babol_assert(live.op.handle(), "completion for chip %u with no op",
+                 chip);
 
     OpResult result = live.op.result(); // rethrows op-body panics
     result.submitTick = live.req.submitTick;
 
-    chipBusy_[live.req.chip] = false;
+    chipBusy_[chip] = false;
     FlashRequest req = std::move(live.req);
-    live_.erase(it);
+    req.onComplete = std::move(live.onComplete);
+    live.op = Op<OpResult>(); // the frame goes back to the pool
+    --liveCount_;
 
     finishOp(req, result);
     kickAdmit();

@@ -13,7 +13,6 @@
 #define BABOL_CORE_CORO_CORO_CONTROLLER_HH
 
 #include <memory>
-#include <unordered_map>
 
 #include "../controller.hh"
 #include "coro_runtime.hh"
@@ -34,21 +33,24 @@ class CoroController : public ChannelController
     OpEnv &env() { return env_; }
 
     /** Operations currently admitted (one per busy chip at most). */
-    std::size_t liveOps() const { return live_.size(); }
+    std::size_t liveOps() const { return liveCount_; }
 
   protected:
     void submitNow(FlashRequest req) override;
 
   private:
+    /** The op running on one chip. The request's callback waits here
+     *  rather than in the op's copy of the request. */
     struct Live
     {
         FlashRequest req;
+        std::function<void(OpResult)> onComplete;
         Op<OpResult> op;
     };
 
     void kickAdmit();
     void startRequest(FlashRequest req);
-    void completeRequest(std::uint64_t id);
+    void completeRequest(std::uint32_t chip);
     Op<OpResult> dispatch(const FlashRequest &req);
 
     SoftControllerConfig cfg_;
@@ -57,8 +59,9 @@ class CoroController : public ChannelController
     std::unique_ptr<TaskScheduler> tasks_;
     OpEnv env_;
     std::vector<bool> chipBusy_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Live>> live_;
-    std::uint64_t nextId_ = 0;
+    /** One slot per chip (a chip runs one op at a time), reused. */
+    std::vector<Live> live_;
+    std::size_t liveCount_ = 0;
     bool admitPending_ = false;
 };
 

@@ -11,7 +11,7 @@ using namespace nand::opcode;
 namespace {
 
 /** Full 5-cycle column+row address for a payload column. */
-std::vector<std::uint8_t>
+AddressCycles
 colRow(OpEnv &env, std::uint32_t payload_column, const RowAddress &row)
 {
     return encodeColRow(env.geo(), env.ecc().flashColumnFor(payload_column),
@@ -22,10 +22,10 @@ colRow(OpEnv &env, std::uint32_t payload_column, const RowAddress &row)
 Transaction
 transferTxn(OpEnv &env, std::uint32_t chip, std::uint32_t payload_column,
             std::uint32_t payload_bytes, std::uint64_t dram_addr,
-            const char *label)
+            obs::Label label)
 {
     std::uint32_t flash_col = env.ecc().flashColumnFor(payload_column);
-    Transaction txn(chip, strfmt("%s c%u", label, chip));
+    Transaction txn(chip, label);
     txn.priority = 1; // data transfers may overtake polls under 'priority'
     txn.add(ChipControl{1u << chip});
     txn.add(CaWriter::command(kChangeReadCol1)
@@ -84,7 +84,7 @@ pollReadyOp(OpEnv &env, std::uint32_t chip, std::uint8_t mask,
 Op<std::uint8_t>
 readStatusOp(OpEnv &env, std::uint32_t chip)
 {
-    Transaction txn(chip, strfmt("READ_STATUS c%u", chip));
+    Transaction txn(chip, env.rt.labels().readStatus[chip]);
     txn.add(ChipControl{1u << chip});
     txn.add(CaWriter::command(kReadStatus));
     txn.add(DataReader{.bytes = 1});
@@ -105,7 +105,7 @@ readOp(OpEnv &env, FlashRequest req)
         req.dataBytes = env.geo().pageDataBytes;
 
     // Transaction 1: command and page-address latch.
-    Transaction latch(req.chip, strfmt("READ.ca c%u", req.chip));
+    Transaction latch(req.chip, env.rt.labels().readCa[req.chip]);
     latch.add(ChipControl{1u << req.chip});
     latch.add(CaWriter::command(kRead1)
                   .addr(colRow(env, req.column, req.row))
@@ -124,7 +124,7 @@ readOp(OpEnv &env, FlashRequest req)
     // Transaction 2: select the column and move the data out.
     TxnResult xfer = co_await env.rt.submit(
         transferTxn(env, req.chip, req.column, req.dataBytes, req.dramAddr,
-                    "READ.xfer"));
+                    env.rt.labels().readXfer[req.chip]));
     res.correctedBits = xfer.eccCorrectedBits;
     res.failedCodewords = xfer.eccFailedCodewords;
     res.maxCodewordBits = xfer.eccMaxCodewordBits;
@@ -144,7 +144,7 @@ pslcReadOp(OpEnv &env, FlashRequest req)
     if (req.dataBytes == 0)
         req.dataBytes = env.geo().pageDataBytes;
 
-    Transaction latch(req.chip, strfmt("PSLC_READ.ca c%u", req.chip));
+    Transaction latch(req.chip, env.rt.labels().pslcReadCa[req.chip]);
     latch.add(ChipControl{1u << req.chip});
     latch.add(CaWriter::command(kVendorSlcPrefix) // <- pSLC prefix
                   .cmd(kRead1)
@@ -163,7 +163,7 @@ pslcReadOp(OpEnv &env, FlashRequest req)
 
     TxnResult xfer = co_await env.rt.submit(
         transferTxn(env, req.chip, req.column, req.dataBytes, req.dramAddr,
-                    "PSLC_READ.xfer"));
+                    env.rt.labels().pslcReadXfer[req.chip]));
     res.correctedBits = xfer.eccCorrectedBits;
     res.failedCodewords = xfer.eccFailedCodewords;
     res.maxCodewordBits = xfer.eccMaxCodewordBits;
@@ -185,7 +185,7 @@ oobReadOp(OpEnv &env, FlashRequest req)
 
     // Latch the read at the OOB column (raw addressing — the tail sits
     // past the ECC image, so flashColumnFor must not be applied).
-    Transaction latch(req.chip, strfmt("OOB_READ.ca c%u", req.chip));
+    Transaction latch(req.chip, env.rt.labels().oobReadCa[req.chip]);
     latch.add(ChipControl{1u << req.chip});
     latch.add(CaWriter::command(kRead1)
                   .addr(encodeColRow(env.geo(), oob_col, req.row))
@@ -200,7 +200,7 @@ oobReadOp(OpEnv &env, FlashRequest req)
     }
 
     // Raw transfer of the tail — lands verbatim in DRAM.
-    Transaction xfer(req.chip, strfmt("OOB_READ.xfer c%u", req.chip));
+    Transaction xfer(req.chip, env.rt.labels().oobReadXfer[req.chip]);
     xfer.priority = 1;
     xfer.add(ChipControl{1u << req.chip});
     xfer.add(CaWriter::command(kChangeReadCol1)
@@ -231,7 +231,7 @@ programOp(OpEnv &env, FlashRequest req, bool pslc)
         req.dataBytes = env.geo().pageDataBytes;
 
     // One transaction: address latch, data-in burst, confirm.
-    Transaction txn(req.chip, strfmt("PROGRAM c%u", req.chip));
+    Transaction txn(req.chip, env.rt.labels().program[req.chip]);
     txn.add(ChipControl{1u << req.chip});
     CaWriter head = pslc ? CaWriter::command(kVendorSlcPrefix).cmd(kProgram1)
                          : CaWriter::command(kProgram1);
@@ -277,7 +277,7 @@ eraseOp(OpEnv &env, FlashRequest req, bool slc_mode)
     OpResult res;
     res.startTick = env.rt.curTick();
 
-    Transaction txn(req.chip, strfmt("ERASE c%u", req.chip));
+    Transaction txn(req.chip, env.rt.labels().erase[req.chip]);
     txn.add(ChipControl{1u << req.chip});
     CaWriter head = slc_mode
                         ? CaWriter::command(kVendorSlcPrefix).cmd(kErase1)
@@ -313,7 +313,7 @@ setFeaturesOp(OpEnv &env, std::uint32_t chip, std::uint8_t feature_addr,
     txn.add(Timer{env.timing().tAdl});
     DataWriter dw;
     dw.bytes = 4;
-    dw.inlineData.assign(params.begin(), params.end());
+    dw.inlineData = params; // the frame's copy outlives the transaction
     txn.add(dw);
     co_await env.rt.submit(std::move(txn));
 
@@ -364,7 +364,8 @@ readIdOp(OpEnv &env, std::uint32_t chip, std::uint8_t id_addr,
     txn.add(CaWriter::command(kReadId).addr({id_addr}));
     txn.add(DataReader{.bytes = bytes});
     TxnResult r = co_await env.rt.submit(std::move(txn));
-    co_return std::move(r.inlineData);
+    co_return std::vector<std::uint8_t>(r.inlineData.begin(),
+                                        r.inlineData.end());
 }
 
 Op<nand::ParamPageInfo>
@@ -447,7 +448,8 @@ gangReadOp(OpEnv &env, std::uint32_t chip_mask, RowAddress row,
     }
 
     TxnResult xfer = co_await env.rt.submit(transferTxn(
-        env, winner, column, data_bytes, dram_addr, "GANG_READ.xfer"));
+        env, winner, column, data_bytes, dram_addr,
+        strfmt("GANG_READ.xfer c%u", winner)));
     out.servedChip = winner;
     out.result.correctedBits = xfer.eccCorrectedBits;
     out.result.failedCodewords = xfer.eccFailedCodewords;

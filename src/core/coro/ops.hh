@@ -29,6 +29,9 @@ struct OpEnv
     CoroRuntime &rt;
     ChannelSystem &sys;
 
+    /** Frames of the ops run in this environment (see Op<T>). */
+    FramePool frames{};
+
     const nand::Geometry &
     geo() const
     {

@@ -99,20 +99,32 @@ EccEngine::flashColumnFor(std::uint32_t payload_column) const
 std::vector<std::uint8_t>
 EccEngine::encode(std::span<const std::uint8_t> data) const
 {
+    std::vector<std::uint8_t> image(
+        flashBytesFor(static_cast<std::uint32_t>(data.size())));
+    encodeInto(data, image);
+    return image;
+}
+
+void
+EccEngine::encodeInto(std::span<const std::uint8_t> data,
+                      std::span<std::uint8_t> image) const
+{
     const std::uint32_t cw_data = params_.codewordDataBytes;
     const std::uint32_t cw_total = codewordTotalBytes();
     const std::uint32_t n_cw = codewordsFor(
         static_cast<std::uint32_t>(data.size()));
+    babol_assert(image.size() == static_cast<std::size_t>(n_cw) * cw_total,
+                 "ECC image of %zu bytes for %u codewords", image.size(),
+                 n_cw);
 
-    std::vector<std::uint8_t> image(
-        static_cast<std::size_t>(n_cw) * cw_total, 0xFF);
     for (std::uint32_t cw = 0; cw < n_cw; ++cw) {
         std::size_t src = static_cast<std::size_t>(cw) * cw_data;
         std::size_t len = std::min<std::size_t>(cw_data,
                                                 data.size() - src);
         std::size_t dst = static_cast<std::size_t>(cw) * cw_total;
-        // A short last codeword keeps the erased 0xFF padding.
         std::copy_n(data.begin() + src, len, image.begin() + dst);
+        // A short last codeword keeps the erased 0xFF padding.
+        std::fill_n(image.begin() + dst + len, cw_data - len, 0xFF);
 
         std::uint32_t sum = checksum(
             std::span<const std::uint8_t>(image.data() + dst, cw_data));
@@ -121,7 +133,6 @@ EccEngine::encode(std::span<const std::uint8_t> data) const
         for (int i = 0; i < 4; ++i)
             parity[i] = static_cast<std::uint8_t>(sum >> (8 * i));
     }
-    return image;
 }
 
 EccReport
@@ -137,15 +148,25 @@ EccEngine::decode(std::span<std::uint8_t> image, std::uint32_t page_column,
     report.codewords = static_cast<std::uint32_t>(image.size() / cw_total);
 
     // Pass 1: count injected errors per codeword within the capture.
-    std::vector<std::uint32_t> errs(report.codewords, 0);
+    // A page's worth of counters lives on the stack.
+    constexpr std::uint32_t kStackCodewords = 64;
+    std::uint32_t stack_errs[kStackCodewords];
+    std::vector<std::uint32_t> heap_errs;
+    std::uint32_t *errs = stack_errs;
+    if (report.codewords > kStackCodewords) {
+        heap_errs.assign(report.codewords, 0);
+        errs = heap_errs.data();
+    } else {
+        std::fill_n(stack_errs, report.codewords, 0u);
+    }
     for (std::uint32_t bit : flips) {
         std::uint32_t byte = bit / 8;
         if (byte < page_column || byte >= page_column + image.size())
             continue;
         errs[(byte - page_column) / cw_total]++;
     }
-    for (std::uint32_t e : errs)
-        report.maxCodewordBits = std::max(report.maxCodewordBits, e);
+    for (std::uint32_t cw = 0; cw < report.codewords; ++cw)
+        report.maxCodewordBits = std::max(report.maxCodewordBits, errs[cw]);
 
     // Pass 2: correct codewords within capability; leave the rest dirty.
     for (std::uint32_t bit : flips) {

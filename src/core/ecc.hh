@@ -80,6 +80,11 @@ class EccEngine
     std::vector<std::uint8_t>
     encode(std::span<const std::uint8_t> data) const;
 
+    /** encode() into @p image, which must be exactly
+     *  flashBytesFor(data.size()) long. */
+    void encodeInto(std::span<const std::uint8_t> data,
+                    std::span<std::uint8_t> image) const;
+
     /**
      * Decode a flash image in place.
      *

@@ -19,7 +19,7 @@ ExecUnit::ExecUnit(EventQueue &eq, const std::string &name,
 }
 
 void
-ExecUnit::push(Transaction txn)
+ExecUnit::push(Transaction &&txn)
 {
     if (!hasSpace()) {
         panic("%s: transaction FIFO overflow (scheduler ignored "
@@ -37,32 +37,30 @@ ExecUnit::tryIssue()
         return;
 
     issuing_ = true;
-    Pending pending = std::move(fifo_.front());
+    Pending &pending = fifo_.front();
+    current_ = std::move(pending.txn);
+    const Tick enqueued_at = pending.enqueuedAt;
     fifo_.pop_front();
-    Transaction txn = std::move(pending.txn);
+    Transaction &txn = current_;
 
     auto &aud = eq_.context().audit;
     if (aud.armed()) {
-        aud.tapFifoWait(name(), txn.label, curTick(),
-                        curTick() - pending.enqueuedAt);
+        aud.tapFifoWait(name(), txn.label.str(), curTick(),
+                        curTick() - enqueued_at);
     }
 
-    BuiltSegment built = ufsms_.emit(txn);
-    dtrace("Exec", "%s: issue '%s' @%0.3f us", name().c_str(),
-           txn.label.c_str(), ticks::toUs(curTick()));
+    ufsms_.emit(txn, built_);
+    if (DebugFlags::any()) {
+        dtrace("Exec", "%s: issue '%s' @%0.3f us", name().c_str(),
+               txn.label.c_str(), ticks::toUs(curTick()));
+    }
 
     if (txn.ctx.span == obs::kNoSpan && ctxResolver_)
         txn.ctx.span = ctxResolver_(txn.chip);
-    built.segment.ctx = txn.ctx;
+    built_.segment.ctx = txn.ctx;
 
-    auto txn_holder = std::make_shared<Transaction>(std::move(txn));
-    auto built_holder = std::make_shared<BuiltSegment>(std::move(built));
-    bus_.issue(built_holder->segment,
-               [this, txn_holder, built_holder](
-                   chan::SegmentResult result) {
-        finish(std::move(*txn_holder), std::move(*built_holder),
-               std::move(result));
-    });
+    bus_.issue(std::move(built_.segment),
+               [this](std::span<std::uint8_t> capture) { finish(capture); });
 
     // A FIFO slot freed the moment the transaction left for the wires.
     if (spaceCallback_)
@@ -70,24 +68,23 @@ ExecUnit::tryIssue()
 }
 
 void
-ExecUnit::finish(Transaction txn, BuiltSegment built,
-                 chan::SegmentResult result)
+ExecUnit::finish(std::span<std::uint8_t> capture)
 {
     TxnResult out;
 
     // Demux captured bytes to the Data Readers that asked for them.
-    for (const ReaderSlice &slice : built.readers) {
-        babol_assert(slice.offset + slice.reader.bytes <=
-                         result.dataOut.size(),
+    for (const ReaderSlice &slice : built_.readers) {
+        babol_assert(slice.offset + slice.reader.bytes <= capture.size(),
                      "segment capture shorter than Data Reader demands");
-        std::span<std::uint8_t> bytes(result.dataOut.data() + slice.offset,
-                                      slice.reader.bytes);
+        std::span<std::uint8_t> bytes =
+            capture.subspan(slice.offset, slice.reader.bytes);
         if (slice.reader.toDram || slice.reader.eccCorrect) {
             // Hardware ECC path: sideband flips come from the LUN that
-            // drove the burst.
+            // drove the burst. ECC corrects the capture in place and
+            // the payload lands straight in DRAM.
             nand::Lun *lun = nullptr;
             for (std::uint32_t i = 0; i < bus_.packageCount(); ++i) {
-                if (built.segment.ceMask & (1u << i)) {
+                if (built_.segment.ceMask & (1u << i)) {
                     lun = bus_.package(i).outputLun();
                     break;
                 }
@@ -102,16 +99,17 @@ ExecUnit::finish(Transaction txn, BuiltSegment built,
             out.eccMaxCodewordBits = std::max(out.eccMaxCodewordBits,
                                               report.maxCodewordBits);
         } else {
-            out.inlineData.insert(out.inlineData.end(), bytes.begin(),
-                                  bytes.end());
+            out.inlineData.append(bytes.begin(), bytes.end());
         }
     }
 
     ++executed_;
     issuing_ = false;
 
-    if (txn.onComplete)
-        txn.onComplete(std::move(out));
+    // The next tryIssue() reuses current_, so take the callback first.
+    InlineFunction<void(TxnResult)> done = std::move(current_.onComplete);
+    if (done)
+        done(std::move(out));
 
     tryIssue();
 }

@@ -14,10 +14,10 @@
 #ifndef BABOL_CORE_EXEC_UNIT_HH
 #define BABOL_CORE_EXEC_UNIT_HH
 
-#include <deque>
 #include <functional>
 
 #include "chan/bus.hh"
+#include "sim/inline_vec.hh"
 #include "ufsm.hh"
 
 namespace babol::core {
@@ -44,7 +44,7 @@ class ExecUnit : public SimObject
 
     /** Push a ready transaction; panics when the FIFO is full (the
      *  Transaction Scheduler must respect hasSpace()). */
-    void push(Transaction txn);
+    void push(Transaction &&txn);
 
     /** Invoked whenever a FIFO slot frees up (doorbell to the
      *  Transaction Scheduler). */
@@ -67,8 +67,7 @@ class ExecUnit : public SimObject
 
   private:
     void tryIssue();
-    void finish(Transaction txn, BuiltSegment built,
-                chan::SegmentResult result);
+    void finish(std::span<std::uint8_t> capture);
 
     chan::ChannelBus &bus_;
     Packetizer &packetizer_;
@@ -82,8 +81,12 @@ class ExecUnit : public SimObject
     };
 
     std::uint32_t fifoDepth_;
-    std::deque<Pending> fifo_;
+    RingQueue<Pending> fifo_;
     bool issuing_ = false;
+    /** The one transaction on the wires and its segment: the unit
+     *  issues one at a time, so both are reused in place. */
+    Transaction current_;
+    BuiltSegment built_;
     std::function<void()> spaceCallback_;
     std::function<obs::SpanId(std::uint32_t)> ctxResolver_;
     std::uint64_t executed_ = 0;

@@ -12,12 +12,40 @@ HwController::HwController(EventQueue &eq, const std::string &name,
       synchronous_(synchronous),
       arbitrationDeadTime_(synchronous ? 200_ns : 0),
       rbSyncDelay_(100_ns),
+      labels_(sys.chipCount()),
       pending_(sys.chipCount()),
-      active_(sys.chipCount()),
+      doneResult_(sys.chipCount()),
       grants_(sys.chipCount())
-{}
+{
+    active_.reserve(sys.chipCount());
+    for (std::uint32_t c = 0; c < sys.chipCount(); ++c)
+        active_.emplace_back(hwOpFsmBytes());
+}
 
 HwController::~HwController() = default;
+
+HwController::Labels::Labels(std::uint32_t chips)
+    : readCa("HW.READ.ca c%u", chips),
+      readXfer("HW.READ.xfer c%u", chips),
+      readRetry("HW.READ.retry c%u", chips),
+      oobReadCa("HW.OOB_READ.ca c%u", chips),
+      oobReadXfer("HW.OOB_READ.xfer c%u", chips),
+      program("HW.PROGRAM c%u", chips),
+      programStatus("HW.PROGRAM.status c%u", chips),
+      erase("HW.ERASE c%u", chips),
+      eraseStatus("HW.ERASE.status c%u", chips)
+{}
+
+std::vector<std::uint8_t>
+HwController::recycledPayload()
+{
+    if (sparePayloads_.empty())
+        return {};
+    std::vector<std::uint8_t> buf = std::move(sparePayloads_.back());
+    sparePayloads_.pop_back();
+    buf.clear();
+    return buf;
+}
 
 void
 HwController::submitNow(FlashRequest req)
@@ -38,13 +66,12 @@ HwController::tryStart(std::uint32_t chip)
     FlashRequest req = std::move(pending_[chip].front());
     pending_[chip].pop_front();
     noteOpStart(req);
-    active_[chip] = makeHwOpFsm(*this, std::move(req));
-    active_[chip]->start();
+    makeHwOpFsm(*this, std::move(req), active_[chip]).start();
 }
 
 void
-HwController::issueSegment(std::uint32_t chip, chan::Segment seg,
-                           std::function<void(chan::SegmentResult)> done)
+HwController::issueSegment(std::uint32_t chip, chan::Segment &&seg,
+                           chan::SegmentDone done)
 {
     babol_assert(chip < grants_.size(), "chip %u out of range", chip);
     // Classify: command/address/status segments are "short control" and
@@ -53,7 +80,7 @@ HwController::issueSegment(std::uint32_t chip, chan::Segment seg,
     // out-of-order flash controllers [43]).
     bool short_control = true;
     for (const chan::SegmentItem &item : seg.items) {
-        if (item.inCount > 64 || item.out.size() > 64)
+        if (item.inCount > 64 || item.dataBytes > 64)
             short_control = false;
     }
     // The hw flavours issue to the bus directly (no exec unit), so the
@@ -105,12 +132,11 @@ HwController::grantFrom(bool control_only)
         GrantRequest grant = std::move(grants_[chip].front());
         grants_[chip].pop_front();
 
-        auto done = std::make_shared<
-            std::function<void(chan::SegmentResult)>>(
-            std::move(grant.done));
+        grantDone_ = std::move(grant.done);
         sys_.bus().issue(std::move(grant.segment),
-                         [this, done](chan::SegmentResult result) {
-            (*done)(std::move(result));
+                         [this](std::span<std::uint8_t> capture) {
+            chan::SegmentDone done = std::move(grantDone_);
+            done(capture);
             // The synchronous design re-arbitrates only after it sees
             // the channel go idle; the asynchronous one already has the
             // next segment staged.
@@ -122,6 +148,9 @@ HwController::grantFrom(bool control_only)
                 pumpGrants();
             }
         });
+        // The bus handed back the previous segment's data-in buffer.
+        if (grant.segment.payload.capacity() > 0)
+            sparePayloads_.push_back(std::move(grant.segment.payload));
         return true;
     }
     return false;
@@ -130,14 +159,15 @@ HwController::grantFrom(bool control_only)
 void
 HwController::fsmDone(std::uint32_t chip, OpResult result)
 {
-    babol_assert(active_[chip] != nullptr, "completion with no active op");
+    babol_assert(bool(active_[chip]), "completion with no active op");
     // Defer teardown out of the FSM's own call stack. The FSM stays
     // alive until the deferred event runs, so the request is read there
     // instead of being copied into the closure.
-    eq_.scheduleIn(0, [this, chip, result] {
-        FlashRequest req = active_[chip]->request();
+    doneResult_[chip] = result;
+    eq_.scheduleIn(0, [this, chip] {
+        FlashRequest req = active_[chip]->takeRequest();
         active_[chip].reset();
-        finishOp(req, result);
+        finishOp(req, doneResult_[chip]);
         tryStart(chip);
     }, "hw op done");
 }

@@ -21,10 +21,11 @@
 #ifndef BABOL_CORE_HW_HW_CONTROLLER_HH
 #define BABOL_CORE_HW_HW_CONTROLLER_HH
 
-#include <deque>
 #include <memory>
 
 #include "../controller.hh"
+#include "sim/inline_vec.hh"
+#include "sim/slot_pool.hh"
 
 namespace babol::core {
 
@@ -67,8 +68,23 @@ class HwController : public ChannelController
      * Ask the arbiter for the channel; when granted, @p seg goes on the
      * wires and @p done fires at segment end.
      */
-    void issueSegment(std::uint32_t chip, chan::Segment seg,
-                      std::function<void(chan::SegmentResult)> done);
+    void issueSegment(std::uint32_t chip, chan::Segment &&seg,
+                      chan::SegmentDone done);
+
+    /** A data-in buffer for the next segment's payload: one the bus
+     *  handed back from an earlier segment, so programs recycle their
+     *  page buffers instead of allocating them. */
+    std::vector<std::uint8_t> recycledPayload();
+
+    /** The FSMs' segment labels, formatted once per chip. */
+    struct Labels
+    {
+        explicit Labels(std::uint32_t chips);
+
+        obs::ChipLabels readCa, readXfer, readRetry, oobReadCa, oobReadXfer,
+            program, programStatus, erase, eraseStatus;
+    };
+    const Labels &labels() const { return labels_; }
 
     /** An operation FSM finished; frees the chip and reports upstream. */
     void fsmDone(std::uint32_t chip, OpResult result);
@@ -89,15 +105,25 @@ class HwController : public ChannelController
     struct GrantRequest
     {
         chan::Segment segment;
-        std::function<void(chan::SegmentResult)> done;
+        chan::SegmentDone done;
         bool shortControl = false; //!< no bulk data burst in the segment
     };
 
     bool grantFrom(bool control_only);
 
-    std::vector<std::deque<FlashRequest>> pending_;
-    std::vector<std::unique_ptr<HwOpFsm>> active_;
-    std::vector<std::deque<GrantRequest>> grants_;
+    const Labels labels_;
+    std::vector<RingQueue<FlashRequest>> pending_;
+    /** The FSM running on each chip, in storage reused op after op. */
+    std::vector<InPlaceSlot<HwOpFsm>> active_;
+    /** Each chip's finished result, waiting for the deferred teardown. */
+    std::vector<OpResult> doneResult_;
+    std::vector<RingQueue<GrantRequest>> grants_;
+    /** Completion of the granted segment (one is on the wires at a
+     *  time), kept here so the bus callback captures only `this`. */
+    chan::SegmentDone grantDone_;
+    /** Data-in buffers the bus handed back, for the next programs'
+     *  segments (at most one per waiting grant). */
+    std::vector<std::vector<std::uint8_t>> sparePayloads_;
     std::uint32_t grantCursor_ = 0;
     bool granting_ = false;
 };

@@ -1,5 +1,7 @@
 #include "hw_ops.hh"
 
+#include <algorithm>
+
 #include "fault/fault_engine.hh"
 #include "nand/onfi.hh"
 
@@ -25,21 +27,28 @@ HwOpFsm::waitReadyPin(std::function<void()> fn)
     }, "hw r/b# wait");
 }
 
-std::unique_ptr<HwOpFsm>
-makeHwOpFsm(HwController &ctrl, FlashRequest req)
+std::size_t
+hwOpFsmBytes()
+{
+    return std::max({sizeof(HwReadFsm), sizeof(HwProgramFsm),
+                     sizeof(HwEraseFsm), sizeof(HwOobReadFsm)});
+}
+
+HwOpFsm &
+makeHwOpFsm(HwController &ctrl, FlashRequest req, InPlaceSlot<HwOpFsm> &slot)
 {
     switch (req.kind) {
       case FlashOpKind::Read:
-        return std::make_unique<HwReadFsm>(ctrl, std::move(req));
+        return slot.emplace<HwReadFsm>(ctrl, std::move(req));
       case FlashOpKind::Program:
-        return std::make_unique<HwProgramFsm>(ctrl, std::move(req));
+        return slot.emplace<HwProgramFsm>(ctrl, std::move(req));
       case FlashOpKind::Erase:
-        return std::make_unique<HwEraseFsm>(ctrl, std::move(req));
+        return slot.emplace<HwEraseFsm>(ctrl, std::move(req));
       case FlashOpKind::OobRead:
         // The mount scan forced a respin: a fourth hand-written FSM
         // (Table II grows again) where the BABOL flavours reuse their
         // read building blocks.
-        return std::make_unique<HwOobReadFsm>(ctrl, std::move(req));
+        return slot.emplace<HwOobReadFsm>(ctrl, std::move(req));
       default:
         // The rigidity the paper complains about: anything beyond the
         // baked-in operations needs new hardware.
@@ -76,7 +85,7 @@ HwReadFsm::step()
         const std::uint32_t flash_col =
             sys.ecc().flashColumnFor(req_.column);
         chan::Segment seg;
-        seg.label = strfmt("HW.READ.ca c%u", req_.chip);
+        seg.label = ctrl_.labels().readCa[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd1;
@@ -92,7 +101,7 @@ HwReadFsm::step()
             static_cast<std::uint8_t>((flash_col >> 8) & 0xFF));
         // row cycles: page | block | lun, packed LSB first
         {
-            std::vector<std::uint8_t> row = encodeRow(geo, req_.row);
+            AddressCycles row = encodeRow(geo, req_.row);
             addr.out.push_back(row[0]);
             addr.out.push_back(row[1]);
             addr.out.push_back(row[2]);
@@ -108,7 +117,7 @@ HwReadFsm::step()
 
         state_ = State::WaitArrayBusy;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this](chan::SegmentResult) { step(); });
+                           [this](std::span<std::uint8_t>) { step(); });
         return;
       }
       case State::WaitArrayBusy:
@@ -123,7 +132,7 @@ HwReadFsm::step()
         const std::uint32_t flash_bytes =
             sys.ecc().flashBytesFor(req_.dataBytes);
         chan::Segment seg;
-        seg.label = strfmt("HW.READ.xfer c%u", req_.chip);
+        seg.label = ctrl_.labels().readXfer[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd1;
@@ -152,7 +161,7 @@ HwReadFsm::step()
 
         state_ = State::TransferData;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this](chan::SegmentResult result) {
+                           [this](std::span<std::uint8_t> capture) {
             // --- hardware ECC + DMA land the payload in DRAM ---
             ChannelSystem &s = ctrl_.system();
             DataReader descriptor;
@@ -163,8 +172,7 @@ HwReadFsm::step()
             descriptor.eccCorrect = true;
             descriptor.pageColumn = s.ecc().flashColumnFor(req_.column);
             EccReport report = s.packetizer().deliver(
-                descriptor, result.dataOut,
-                s.lun(req_.chip).cacheRegisterFlips());
+                descriptor, capture, s.lun(req_.chip).cacheRegisterFlips());
             result_.correctedBits = report.correctedBits;
             result_.failedCodewords = report.failedCodewords;
             result_.maxCodewordBits = report.maxCodewordBits;
@@ -190,7 +198,7 @@ HwReadFsm::step()
       case State::IssueRetryFeatures: {
         // --- hard-coded EFh / 89h / 4 parameter bytes waveform ---
         chan::Segment seg;
-        seg.label = strfmt("HW.READ.retry c%u", req_.chip);
+        seg.label = ctrl_.labels().readRetry[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd;
@@ -203,17 +211,15 @@ HwReadFsm::step()
         addr.out.push_back(feature::kVendorReadRetry);
         seg.items.push_back(addr);
 
-        chan::SegmentItem params;
-        params.type = CycleType::DataIn;
-        params.out = {static_cast<std::uint8_t>(retries_), 0, 0, 0};
-        params.preDelay = t.tAdl;
-        seg.items.push_back(params);
+        const std::uint8_t params[] = {static_cast<std::uint8_t>(retries_),
+                                       0, 0, 0};
+        seg.dataIn(params, t.tAdl);
 
         seg.postDelay = t.tWb;
 
         state_ = State::WaitRetryReady;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this](chan::SegmentResult) { step(); });
+                           [this](std::span<std::uint8_t>) { step(); });
         return;
       }
       case State::WaitRetryReady:
@@ -257,7 +263,7 @@ HwOobReadFsm::step()
         // --- hard-coded 00h / 5 address cycles / 30h at the OOB column
         // (raw: no ECC column mapping) ---
         chan::Segment seg;
-        seg.label = strfmt("HW.OOB_READ.ca c%u", req_.chip);
+        seg.label = ctrl_.labels().oobReadCa[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd1;
@@ -271,7 +277,7 @@ HwOobReadFsm::step()
         addr.out.push_back(
             static_cast<std::uint8_t>((oob_col >> 8) & 0xFF));
         {
-            std::vector<std::uint8_t> row = encodeRow(geo, req_.row);
+            AddressCycles row = encodeRow(geo, req_.row);
             addr.out.push_back(row[0]);
             addr.out.push_back(row[1]);
             addr.out.push_back(row[2]);
@@ -287,7 +293,7 @@ HwOobReadFsm::step()
 
         state_ = State::WaitArrayBusy;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this](chan::SegmentResult) { step(); });
+                           [this](std::span<std::uint8_t>) { step(); });
         return;
       }
       case State::WaitArrayBusy:
@@ -297,7 +303,7 @@ HwOobReadFsm::step()
       case State::WaitArrayReady: {
         // --- hard-coded 05h / 2 column cycles / E0h / raw DOUT ---
         chan::Segment seg;
-        seg.label = strfmt("HW.OOB_READ.xfer c%u", req_.chip);
+        seg.label = ctrl_.labels().oobReadXfer[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd1;
@@ -326,7 +332,7 @@ HwOobReadFsm::step()
 
         state_ = State::TransferData;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this, oob_col](chan::SegmentResult result) {
+                           [this, oob_col](std::span<std::uint8_t> capture) {
             // Raw DMA: land the tail verbatim, ECC bypassed.
             DataReader descriptor;
             descriptor.bytes = req_.dataBytes;
@@ -334,8 +340,7 @@ HwOobReadFsm::step()
             descriptor.dramAddr = req_.dramAddr;
             descriptor.eccCorrect = false;
             descriptor.pageColumn = oob_col;
-            ctrl_.system().packetizer().deliver(descriptor, result.dataOut,
-                                                {});
+            ctrl_.system().packetizer().deliver(descriptor, capture, {});
             result_.ok = true;
             state_ = State::Done;
             step();
@@ -377,7 +382,7 @@ HwProgramFsm::step()
         const std::uint32_t flash_col =
             sys.ecc().flashColumnFor(req_.column);
         chan::Segment seg;
-        seg.label = strfmt("HW.PROGRAM c%u", req_.chip);
+        seg.label = ctrl_.labels().program[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd1;
@@ -391,7 +396,7 @@ HwProgramFsm::step()
         addr.out.push_back(
             static_cast<std::uint8_t>((flash_col >> 8) & 0xFF));
         {
-            std::vector<std::uint8_t> row = encodeRow(geo, req_.row);
+            AddressCycles row = encodeRow(geo, req_.row);
             addr.out.push_back(row[0]);
             addr.out.push_back(row[1]);
             addr.out.push_back(row[2]);
@@ -404,11 +409,11 @@ HwProgramFsm::step()
         descriptor.dramAddr = req_.dramAddr;
         descriptor.bytes = req_.dataBytes;
         descriptor.eccEncode = true;
-        chan::SegmentItem data;
-        data.type = CycleType::DataIn;
-        data.out = sys.packetizer().fetch(descriptor);
-        data.preDelay = t.tAdl; // address-to-data-loading wait
-        seg.items.push_back(data);
+        seg.payload = ctrl_.recycledPayload();
+        // address-to-data-loading wait
+        chan::SegmentItem &data = seg.beginDataIn(t.tAdl);
+        sys.packetizer().fetchInto(descriptor, seg.payload);
+        seg.endDataIn(data);
 
         if (!req_.oob.empty()) {
             // --- hard-coded 85h / 2 column cycles / raw DIN tail ---
@@ -428,11 +433,8 @@ HwProgramFsm::step()
                 static_cast<std::uint8_t>((oob_col >> 8) & 0xFF));
             seg.items.push_back(wcol_addr);
 
-            chan::SegmentItem oob;
-            oob.type = CycleType::DataIn;
-            oob.out = req_.oob;
-            oob.preDelay = t.tCcs; // change-column settle before DQS
-            seg.items.push_back(oob);
+            // change-column settle before DQS
+            seg.dataIn(req_.oob, t.tCcs);
         }
 
         chan::SegmentItem cmd2;
@@ -444,7 +446,7 @@ HwProgramFsm::step()
 
         state_ = State::WaitArrayBusy;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this](chan::SegmentResult) { step(); });
+                           [this](std::span<std::uint8_t>) { step(); });
         return;
       }
       case State::WaitArrayBusy:
@@ -454,7 +456,7 @@ HwProgramFsm::step()
       case State::WaitArrayReady: {
         // --- hard-coded 70h / status byte waveform (FAIL check) ---
         chan::Segment seg;
-        seg.label = strfmt("HW.PROGRAM.status c%u", req_.chip);
+        seg.label = ctrl_.labels().programStatus[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd;
@@ -470,8 +472,8 @@ HwProgramFsm::step()
 
         state_ = State::CheckStatus;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this](chan::SegmentResult result) {
-            statusByte_ = result.dataOut.at(0);
+                           [this](std::span<std::uint8_t> capture) {
+            statusByte_ = capture[0];
             state_ = State::Done;
             step();
         });
@@ -512,7 +514,7 @@ HwEraseFsm::step()
       case State::IssueCmdAddr: {
         // --- hard-coded 60h / 3 row cycles / D0h waveform ---
         chan::Segment seg;
-        seg.label = strfmt("HW.ERASE c%u", req_.chip);
+        seg.label = ctrl_.labels().erase[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd1;
@@ -523,7 +525,7 @@ HwEraseFsm::step()
         chan::SegmentItem addr;
         addr.type = CycleType::AddrLatch;
         {
-            std::vector<std::uint8_t> row = encodeRow(geo, req_.row);
+            AddressCycles row = encodeRow(geo, req_.row);
             addr.out.push_back(row[0]);
             addr.out.push_back(row[1]);
             addr.out.push_back(row[2]);
@@ -539,7 +541,7 @@ HwEraseFsm::step()
 
         state_ = State::WaitArrayBusy;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this](chan::SegmentResult) { step(); });
+                           [this](std::span<std::uint8_t>) { step(); });
         return;
       }
       case State::WaitArrayBusy:
@@ -548,7 +550,7 @@ HwEraseFsm::step()
         return;
       case State::WaitArrayReady: {
         chan::Segment seg;
-        seg.label = strfmt("HW.ERASE.status c%u", req_.chip);
+        seg.label = ctrl_.labels().eraseStatus[req_.chip];
         seg.ceMask = 1u << req_.chip;
 
         chan::SegmentItem cmd;
@@ -564,8 +566,8 @@ HwEraseFsm::step()
 
         state_ = State::CheckStatus;
         ctrl_.issueSegment(req_.chip, std::move(seg),
-                           [this](chan::SegmentResult result) {
-            statusByte_ = result.dataOut.at(0);
+                           [this](std::span<std::uint8_t> capture) {
+            statusByte_ = capture[0];
             state_ = State::Done;
             step();
         });

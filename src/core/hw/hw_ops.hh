@@ -35,6 +35,9 @@ class HwOpFsm
 
     const FlashRequest &request() const { return req_; }
 
+    /** Hand the request back for completion (the FSM is done with it). */
+    FlashRequest takeRequest() { return std::move(req_); }
+
   protected:
     /** Observe the R/B# pin: run @p fn once the LUN reports ready. */
     void waitReadyPin(std::function<void()> fn);
@@ -46,8 +49,13 @@ class HwOpFsm
     OpResult result_;
 };
 
-/** Factory used by the controller's admission logic. */
-std::unique_ptr<HwOpFsm> makeHwOpFsm(HwController &ctrl, FlashRequest req);
+/** Factory used by the controller's admission logic: builds the FSM for
+ *  @p req in @p slot (the chip's reused storage). */
+HwOpFsm &makeHwOpFsm(HwController &ctrl, FlashRequest req,
+                     InPlaceSlot<HwOpFsm> &slot);
+
+/** Storage one chip's slot needs: the largest FSM class. */
+std::size_t hwOpFsmBytes();
 
 /** READ: hard-coded CA wave, R/B# wait, hard-coded transfer wave. */
 class HwReadFsm : public HwOpFsm

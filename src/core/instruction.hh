@@ -14,10 +14,12 @@
 #define BABOL_CORE_INSTRUCTION_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <variant>
-#include <vector>
 
+#include "sim/inline_vec.hh"
 #include "sim/types.hh"
 
 namespace babol::core {
@@ -35,7 +37,11 @@ struct CaWriter
         std::uint8_t value = 0;
     };
 
-    std::vector<Latch> latches;
+    /** Longest latch run the ops emit: a two-command prefix, five
+     *  address cycles and a confirm. */
+    static constexpr std::size_t kMaxLatches = 12;
+
+    InlineVec<Latch, kMaxLatches> latches;
 
     static CaWriter
     command(std::uint8_t cmd)
@@ -53,11 +59,18 @@ struct CaWriter
     }
 
     CaWriter &
-    addr(const std::vector<std::uint8_t> &bytes)
+    addr(std::span<const std::uint8_t> bytes)
     {
         for (std::uint8_t b : bytes)
             latches.push_back({false, b});
         return *this;
+    }
+
+    CaWriter &
+    addr(std::initializer_list<std::uint8_t> bytes)
+    {
+        return addr(std::span<const std::uint8_t>(bytes.begin(),
+                                                  bytes.size()));
     }
 };
 
@@ -75,10 +88,13 @@ struct DataWriter
     bool eccEncode = false;
 
     /**
-     * Small payloads (feature parameters) can ride inline instead of
-     * through a DRAM descriptor; when non-empty this wins over dramAddr.
+     * Small payloads (feature parameters, the OOB record tail) can ride
+     * inline instead of through a DRAM descriptor; when non-empty this
+     * wins over dramAddr. The bytes are borrowed: the op that submits
+     * the transaction owns them and keeps them alive until it
+     * completes (the μFSM bank copies them onto the wires).
      */
-    std::vector<std::uint8_t> inlineData;
+    std::span<const std::uint8_t> inlineData;
 };
 
 /**

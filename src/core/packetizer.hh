@@ -38,25 +38,44 @@ class Packetizer : public SimObject
 
     /**
      * Fetch a Data Writer's payload from DRAM, optionally expanding it
-     * through the ECC encoder into the codeword+parity flash image.
+     * through the ECC encoder into the codeword+parity flash image,
+     * and append it to @p out. The encoder reads DRAM in place, so the
+     * payload is copied once, into @p out.
      */
+    void
+    fetchInto(const DataWriter &dw, std::vector<std::uint8_t> &out) const
+    {
+        ++descriptors_;
+        if (!dw.inlineData.empty()) {
+            out.insert(out.end(), dw.inlineData.begin(),
+                       dw.inlineData.end());
+            return;
+        }
+        std::span<const std::uint8_t> src =
+            dram_.readSpan(dw.dramAddr, dw.bytes);
+        if (!dw.eccEncode) {
+            out.insert(out.end(), src.begin(), src.end());
+            return;
+        }
+        const std::size_t base = out.size();
+        out.resize(base + ecc_.flashBytesFor(dw.bytes));
+        ecc_.encodeInto(src, std::span<std::uint8_t>(out).subspan(base));
+    }
+
+    /** fetchInto() a fresh buffer. */
     std::vector<std::uint8_t>
     fetch(const DataWriter &dw) const
     {
-        ++descriptors_;
-        if (!dw.inlineData.empty())
-            return dw.inlineData;
-        std::vector<std::uint8_t> bytes(dw.bytes);
-        dram_.read(dw.dramAddr, bytes);
-        if (dw.eccEncode)
-            return ecc_.encode(bytes);
+        std::vector<std::uint8_t> bytes;
+        fetchInto(dw, bytes);
         return bytes;
     }
 
     /**
      * Land a Data Reader's capture: run ECC (when requested, using the
-     * flash model's sideband @p flips), strip parity, and store the
-     * payload in DRAM. Raw (non-ECC) captures land verbatim.
+     * flash model's sideband @p flips) on the captured bytes in place,
+     * strip parity, and store the payload in DRAM. Raw (non-ECC)
+     * captures land verbatim.
      */
     EccReport
     deliver(const DataReader &dr, std::span<std::uint8_t> bytes,
@@ -74,7 +93,7 @@ class Packetizer : public SimObject
             std::uint32_t payload =
                 static_cast<std::uint32_t>(bytes.size()) /
                 ecc_.codewordTotalBytes() * ecc_.params().codewordDataBytes;
-            dram_.write(dr.dramAddr, ecc_.extractData(bytes, payload));
+            ecc_.extractInto(bytes, dram_.writeSpan(dr.dramAddr, payload));
         }
         return report;
     }

@@ -1,5 +1,7 @@
 #include "rtos_controller.hh"
 
+#include <algorithm>
+
 namespace babol::core {
 
 RtosController::RtosController(EventQueue &eq, const std::string &name,
@@ -12,8 +14,15 @@ RtosController::RtosController(EventQueue &eq, const std::string &name,
       rt_(eq, name + ".rt", cpu_, sys.exec(),
           makeTxnScheduler(cfg.txnPolicy), SoftwareCosts::rtos()),
       tasks_(makeTaskScheduler(cfg.taskPolicy)),
-      chipBusy_(sys.chipCount(), false)
+      chipBusy_(sys.chipCount(), false),
+      doneResult_(sys.chipCount())
 {
+    const std::size_t op_bytes =
+        std::max({sizeof(RtosReadOp), sizeof(RtosProgramOp),
+                  sizeof(RtosEraseOp), sizeof(RtosOobReadOp)});
+    live_.reserve(sys.chipCount());
+    for (std::uint32_t c = 0; c < sys.chipCount(); ++c)
+        live_.emplace_back(op_bytes);
     governMeter(cpu_.powerMeter());
 }
 
@@ -51,55 +60,54 @@ RtosController::startRequest(FlashRequest req)
     noteOpStart(req);
     std::uint64_t id = nextId_++;
 
-    std::unique_ptr<RtosOpBase> op;
+    InPlaceSlot<RtosOpBase> &slot = live_[req.chip];
+    babol_assert(!slot, "chip %u already runs an op", req.chip);
     switch (req.kind) {
       case FlashOpKind::Read:
-        op = std::make_unique<RtosReadOp>(*this, id, std::move(req), false);
+        slot.emplace<RtosReadOp>(*this, id, std::move(req), false);
         break;
       case FlashOpKind::PslcRead:
-        op = std::make_unique<RtosReadOp>(*this, id, std::move(req), true);
+        slot.emplace<RtosReadOp>(*this, id, std::move(req), true);
         break;
       case FlashOpKind::Program:
-        op = std::make_unique<RtosProgramOp>(*this, id, std::move(req),
-                                             false);
+        slot.emplace<RtosProgramOp>(*this, id, std::move(req), false);
         break;
       case FlashOpKind::PslcProgram:
-        op = std::make_unique<RtosProgramOp>(*this, id, std::move(req),
-                                             true);
+        slot.emplace<RtosProgramOp>(*this, id, std::move(req), true);
         break;
       case FlashOpKind::Erase:
-        op = std::make_unique<RtosEraseOp>(*this, id, std::move(req),
-                                           false);
+        slot.emplace<RtosEraseOp>(*this, id, std::move(req), false);
         break;
       case FlashOpKind::SlcErase:
-        op = std::make_unique<RtosEraseOp>(*this, id, std::move(req), true);
+        slot.emplace<RtosEraseOp>(*this, id, std::move(req), true);
         break;
       case FlashOpKind::OobRead:
-        op = std::make_unique<RtosOobReadOp>(*this, id, std::move(req));
+        slot.emplace<RtosOobReadOp>(*this, id, std::move(req));
         break;
     }
-    babol_assert(op != nullptr, "unknown flash op kind");
+    babol_assert(bool(slot), "unknown flash op kind");
 
-    RtosOpBase *raw = op.get();
-    live_.emplace(id, std::move(op));
-    kernel_.createTask(raw);
-    kernel_.send(raw, rtos_msg::kStart);
+    ++liveCount_;
+    kernel_.createTask(slot.get());
+    kernel_.send(slot.get(), rtos_msg::kStart);
 }
 
 void
-RtosController::completeRequest(std::uint64_t id, OpResult res)
+RtosController::completeRequest(std::uint32_t chip, OpResult res)
 {
     // Called from inside the op's onMessage; defer teardown so the task
     // object is never deleted under its own feet.
-    cpu_.execute(rt_.costs().completionIsr, [this, id, res] {
-        auto it = live_.find(id);
-        babol_assert(it != live_.end(), "completion for unknown op");
-        FlashRequest req = std::move(it->second->requestMutable());
-        kernel_.destroyTask(it->second.get());
-        live_.erase(it);
+    doneResult_[chip] = res;
+    cpu_.execute(rt_.costs().completionIsr, [this, chip] {
+        InPlaceSlot<RtosOpBase> &slot = live_[chip];
+        babol_assert(bool(slot), "completion for chip %u with no op", chip);
+        FlashRequest req = std::move(slot->requestMutable());
+        kernel_.destroyTask(slot.get());
+        slot.reset();
+        --liveCount_;
 
         chipBusy_[req.chip] = false;
-        finishOp(req, res);
+        finishOp(req, doneResult_[chip]);
         kickAdmit();
     }, "rtos op completion");
 }

@@ -18,6 +18,7 @@
 
 #include "../controller.hh"
 #include "rtos_ops.hh"
+#include "sim/slot_pool.hh"
 
 namespace babol::core {
 
@@ -34,12 +35,12 @@ class RtosController : public ChannelController
     SoftRuntime &runtime() { return rt_; }
 
     /** Called by an op's finish(); defers teardown out of task context. */
-    void completeRequest(std::uint64_t id, OpResult res);
+    void completeRequest(std::uint32_t chip, OpResult res);
 
     /** Read-retry budget (SET FEATURES level sweeps) per read op. */
     std::uint32_t maxReadRetries() const { return cfg_.maxReadRetries; }
 
-    std::size_t liveOps() const { return live_.size(); }
+    std::size_t liveOps() const { return liveCount_; }
 
   protected:
     void submitNow(FlashRequest req) override;
@@ -54,7 +55,11 @@ class RtosController : public ChannelController
     SoftRuntime rt_;
     std::unique_ptr<TaskScheduler> tasks_;
     std::vector<bool> chipBusy_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<RtosOpBase>> live_;
+    /** The op task running on each chip, in storage reused op after
+     *  op, and its result while the completion ISR is pending. */
+    std::vector<InPlaceSlot<RtosOpBase>> live_;
+    std::vector<OpResult> doneResult_;
+    std::size_t liveCount_ = 0;
     std::uint64_t nextId_ = 0;
     bool admitPending_ = false;
 };

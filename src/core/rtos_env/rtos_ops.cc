@@ -20,6 +20,12 @@ RtosOpBase::RtosOpBase(RtosController &ctrl, std::uint64_t id,
     res_.startTick = ctrl.curTick();
 }
 
+const TxnLabels &
+RtosOpBase::labels() const
+{
+    return ctrl_.runtime().labels();
+}
+
 void
 RtosOpBase::submitTxn(Transaction txn)
 {
@@ -34,7 +40,7 @@ void
 RtosOpBase::finish(OpResult res)
 {
     res.submitTick = req_.submitTick;
-    ctrl_.completeRequest(id_, res);
+    ctrl_.completeRequest(req_.chip, res);
 }
 
 std::uint8_t
@@ -48,7 +54,7 @@ RtosOpBase::lastStatus() const
 Transaction
 RtosOpBase::makeStatusPoll() const
 {
-    Transaction txn(req_.chip, strfmt("READ_STATUS c%u", req_.chip));
+    Transaction txn(req_.chip, labels().readStatus[req_.chip]);
     txn.add(ChipControl{1u << req_.chip});
     txn.add(CaWriter::command(kReadStatus));
     txn.add(DataReader{.bytes = 1});
@@ -113,9 +119,8 @@ RtosReadOp::issueLatch()
     ChannelSystem &sys = ctrl_.system();
     const Geometry &geo = sys.config().package.geometry;
     // Transaction 1: (optional pSLC prefix,) command, address, 30h.
-    Transaction latch(req_.chip, strfmt("%s.ca c%u",
-                                        pslc_ ? "PSLC_READ" : "READ",
-                                        req_.chip));
+    Transaction latch(req_.chip, pslc_ ? labels().pslcReadCa[req_.chip]
+                                       : labels().readCa[req_.chip]);
     latch.add(ChipControl{1u << req_.chip});
     CaWriter head = pslc_ ? CaWriter::command(kVendorSlcPrefix)
                                 .cmd(kRead1)
@@ -159,9 +164,9 @@ RtosReadOp::onMessage(cpu::RtosKernel &kernel, std::uint64_t msg)
         }
         // Ready: change read column and transfer the data out.
         std::uint32_t flash_col = sys.ecc().flashColumnFor(req_.column);
-        Transaction xfer(req_.chip, strfmt("%s.xfer c%u",
-                                           pslc_ ? "PSLC_READ" : "READ",
-                                           req_.chip));
+        Transaction xfer(req_.chip,
+                         pslc_ ? labels().pslcReadXfer[req_.chip]
+                               : labels().readXfer[req_.chip]);
         xfer.priority = 1;
         xfer.add(ChipControl{1u << req_.chip});
         xfer.add(CaWriter::command(kChangeReadCol1)
@@ -198,8 +203,8 @@ RtosReadOp::onMessage(cpu::RtosKernel &kernel, std::uint64_t msg)
             feat.add(Timer{t.tAdl});
             DataWriter dw;
             dw.bytes = 4;
-            dw.inlineData = {static_cast<std::uint8_t>(retries_), 0, 0,
-                             0};
+            featureParams_ = {static_cast<std::uint8_t>(retries_), 0, 0, 0};
+            dw.inlineData = featureParams_;
             feat.add(dw);
             submitTxn(std::move(feat));
             st_ = St::WaitRetryFeat;
@@ -262,7 +267,7 @@ RtosOobReadOp::onMessage(cpu::RtosKernel &kernel, std::uint64_t msg)
         babol_assert(msg == rtos_msg::kStart, "oob op expected start");
         // Latch the read at the raw OOB column (no flashColumnFor: the
         // tail sits past the ECC image).
-        Transaction latch(req_.chip, strfmt("OOB_READ.ca c%u", req_.chip));
+        Transaction latch(req_.chip, labels().oobReadCa[req_.chip]);
         latch.add(ChipControl{1u << req_.chip});
         latch.add(CaWriter::command(kRead1)
                       .addr(encodeColRow(geo, oob_col, req_.row))
@@ -282,7 +287,7 @@ RtosOobReadOp::onMessage(cpu::RtosKernel &kernel, std::uint64_t msg)
                 finish(res_);
             return;
         }
-        Transaction xfer(req_.chip, strfmt("OOB_READ.xfer c%u", req_.chip));
+        Transaction xfer(req_.chip, labels().oobReadXfer[req_.chip]);
         xfer.priority = 1;
         xfer.add(ChipControl{1u << req_.chip});
         xfer.add(CaWriter::command(kChangeReadCol1)
@@ -335,7 +340,7 @@ RtosProgramOp::onMessage(cpu::RtosKernel &kernel, std::uint64_t msg)
     switch (st_) {
       case St::Idle: {
         babol_assert(msg == rtos_msg::kStart, "program op expected start");
-        Transaction txn(req_.chip, strfmt("PROGRAM c%u", req_.chip));
+        Transaction txn(req_.chip, labels().program[req_.chip]);
         txn.add(ChipControl{1u << req_.chip});
         CaWriter head = pslc_ ? CaWriter::command(kVendorSlcPrefix)
                                     .cmd(kProgram1)
@@ -404,7 +409,7 @@ RtosEraseOp::onMessage(cpu::RtosKernel &kernel, std::uint64_t msg)
     switch (st_) {
       case St::Idle: {
         babol_assert(msg == rtos_msg::kStart, "erase op expected start");
-        Transaction txn(req_.chip, strfmt("ERASE c%u", req_.chip));
+        Transaction txn(req_.chip, labels().erase[req_.chip]);
         txn.add(ChipControl{1u << req_.chip});
         CaWriter head = slcMode_ ? CaWriter::command(kVendorSlcPrefix)
                                        .cmd(kErase1)

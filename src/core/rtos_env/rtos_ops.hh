@@ -13,6 +13,8 @@
 #ifndef BABOL_CORE_RTOS_ENV_RTOS_OPS_HH
 #define BABOL_CORE_RTOS_ENV_RTOS_OPS_HH
 
+#include <array>
+
 #include "../channel_system.hh"
 #include "../op_request.hh"
 #include "../soft_runtime.hh"
@@ -51,6 +53,9 @@ class RtosOpBase : public cpu::RtosTask
 
     /** Status byte of the last READ STATUS poll. */
     std::uint8_t lastStatus() const;
+
+    /** The controller's prebuilt transaction labels. */
+    const TxnLabels &labels() const;
 
     /** Build the standard one-byte status poll transaction. */
     Transaction makeStatusPoll() const;
@@ -105,6 +110,9 @@ class RtosReadOp : public RtosOpBase
     St st_ = St::Idle;
     bool pslc_;
     std::uint32_t retries_ = 0;
+    /** SET FEATURES parameters of the retry step on the wires (the
+     *  transaction borrows them until it completes). */
+    std::array<std::uint8_t, 4> featureParams_{};
 };
 
 /**

@@ -83,10 +83,10 @@ std::optional<FlashRequest>
 FifoTaskScheduler::admitNext(
     const std::function<bool(std::uint32_t)> &chip_free)
 {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (chip_free(it->chip)) {
-            FlashRequest req = std::move(*it);
-            queue_.erase(it);
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        if (chip_free(queue_[i].chip)) {
+            FlashRequest req = std::move(queue_[i]);
+            queue_.erase(i);
             return req;
         }
     }
@@ -133,10 +133,10 @@ PriorityTaskScheduler::admitNext(
     const std::function<bool(std::uint32_t)> &chip_free)
 {
     for (auto &[prio, queue] : byPriority_) {
-        for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (chip_free(it->chip)) {
-                FlashRequest req = std::move(*it);
-                queue.erase(it);
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            if (chip_free(queue[i].chip)) {
+                FlashRequest req = std::move(queue[i]);
+                queue.erase(i);
                 --pending_;
                 return req;
             }

@@ -13,13 +13,13 @@
 #ifndef BABOL_CORE_SCHED_HH
 #define BABOL_CORE_SCHED_HH
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "op_request.hh"
+#include "sim/inline_vec.hh"
 #include "transaction.hh"
 
 namespace babol::core {
@@ -51,7 +51,7 @@ class FifoTxnScheduler : public TransactionScheduler
     std::size_t pendingCount() const override { return queue_.size(); }
 
   private:
-    std::deque<Transaction> queue_;
+    RingQueue<Transaction> queue_;
 };
 
 /** Round-robin across chips (the paper's simple example policy). */
@@ -64,7 +64,7 @@ class RoundRobinTxnScheduler : public TransactionScheduler
     std::size_t pendingCount() const override { return pending_; }
 
   private:
-    std::map<std::uint32_t, std::deque<Transaction>> perChip_;
+    std::map<std::uint32_t, RingQueue<Transaction>> perChip_;
     std::uint32_t cursor_ = 0;
     std::size_t pending_ = 0;
 };
@@ -80,7 +80,7 @@ class PriorityTxnScheduler : public TransactionScheduler
     std::size_t pendingCount() const override { return pending_; }
 
   private:
-    std::map<int, std::deque<Transaction>, std::greater<int>> byPriority_;
+    std::map<int, RingQueue<Transaction>, std::greater<int>> byPriority_;
     std::size_t pending_ = 0;
 };
 
@@ -116,7 +116,7 @@ class FifoTaskScheduler : public TaskScheduler
     std::size_t pendingCount() const override { return queue_.size(); }
 
   private:
-    std::deque<FlashRequest> queue_;
+    RingQueue<FlashRequest> queue_;
 };
 
 /** Fair round-robin across chips. */
@@ -130,7 +130,7 @@ class FairTaskScheduler : public TaskScheduler
     std::size_t pendingCount() const override { return pending_; }
 
   private:
-    std::map<std::uint32_t, std::deque<FlashRequest>> perChip_;
+    std::map<std::uint32_t, RingQueue<FlashRequest>> perChip_;
     std::uint32_t cursor_ = 0;
     std::size_t pending_ = 0;
 };
@@ -146,7 +146,7 @@ class PriorityTaskScheduler : public TaskScheduler
     std::size_t pendingCount() const override { return pending_; }
 
   private:
-    std::map<int, std::deque<FlashRequest>, std::greater<int>> byPriority_;
+    std::map<int, RingQueue<FlashRequest>, std::greater<int>> byPriority_;
     std::size_t pending_ = 0;
 };
 

@@ -2,6 +2,18 @@
 
 namespace babol::core {
 
+TxnLabels::TxnLabels(std::uint32_t chips)
+    : readStatus("READ_STATUS c%u", chips),
+      readCa("READ.ca c%u", chips),
+      readXfer("READ.xfer c%u", chips),
+      pslcReadCa("PSLC_READ.ca c%u", chips),
+      pslcReadXfer("PSLC_READ.xfer c%u", chips),
+      oobReadCa("OOB_READ.ca c%u", chips),
+      oobReadXfer("OOB_READ.xfer c%u", chips),
+      program("PROGRAM c%u", chips),
+      erase("ERASE c%u", chips)
+{}
+
 SoftRuntime::SoftRuntime(EventQueue &eq, const std::string &name,
                          cpu::CpuModel &cpu, ExecUnit &exec,
                          std::unique_ptr<TransactionScheduler> txn_sched,
@@ -10,24 +22,25 @@ SoftRuntime::SoftRuntime(EventQueue &eq, const std::string &name,
       cpu_(cpu),
       exec_(exec),
       txnSched_(std::move(txn_sched)),
-      costs_(costs)
+      costs_(costs),
+      labels_(exec.bus().packageCount())
 {
     babol_assert(txnSched_ != nullptr, "runtime needs a txn scheduler");
     exec_.setSpaceCallback([this] { kickPump(); });
 }
 
 void
-SoftRuntime::submitTransaction(Transaction txn)
+SoftRuntime::submitTransaction(Transaction &&txn)
 {
     ++submitted_;
     // High-priority transactions (data transfers) ride the interrupt-
     // side CPU lane so a ready page never waits behind polling work.
     cpu::CpuPriority prio = txn.priority > 0 ? cpu::CpuPriority::High
                                              : cpu::CpuPriority::Normal;
-    auto holder = std::make_shared<Transaction>(std::move(txn));
+    const auto slot = building_.park(std::move(txn));
     cpu_.execute(costs_.buildTransaction + costs_.submitToHw,
-                 [this, holder] {
-        txnSched_->enqueue(std::move(*holder));
+                 [this, slot] {
+        txnSched_->enqueue(building_.take(slot));
         kickPump();
     }, "txn build+submit", prio);
 }

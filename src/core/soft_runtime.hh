@@ -20,6 +20,7 @@
 #include "cpu/cpu_model.hh"
 #include "exec_unit.hh"
 #include "sched.hh"
+#include "sim/slot_pool.hh"
 #include "soft_costs.hh"
 
 namespace babol::core {
@@ -36,12 +37,13 @@ class SoftRuntime : public SimObject
     ExecUnit &exec() { return exec_; }
     const SoftwareCosts &costs() const { return costs_; }
     TransactionScheduler &txnScheduler() { return *txnSched_; }
+    const TxnLabels &labels() const { return labels_; }
 
     /**
      * Hand a built transaction to the scheduler (charging the CPU for
      * the build + enqueue work) and make sure the dispatch pump runs.
      */
-    void submitTransaction(Transaction txn);
+    void submitTransaction(Transaction &&txn);
 
     std::uint64_t transactionsSubmitted() const { return submitted_; }
     std::uint64_t schedulerPasses() const { return schedPasses_; }
@@ -53,6 +55,10 @@ class SoftRuntime : public SimObject
     ExecUnit &exec_;
     std::unique_ptr<TransactionScheduler> txnSched_;
     SoftwareCosts costs_;
+    const TxnLabels labels_;
+    /** Transactions between submit and the end of their build+submit
+     *  CPU item (bounded by the ops in flight). */
+    SlotPool<Transaction> building_;
     bool pumpPending_ = false;
     std::uint64_t submitted_ = 0;
     std::uint64_t schedPasses_ = 0;

@@ -13,26 +13,40 @@
 #define BABOL_CORE_TRANSACTION_HH
 
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "instruction.hh"
+#include "obs/label.hh"
 #include "obs/span.hh"
+#include "sim/inline_callback.hh"
+#include "sim/inline_vec.hh"
 
 namespace babol::core {
 
 /** What a finished transaction hands back to the operation logic. */
 struct TxnResult
 {
-    /** Bytes captured by inline (non-DMA) Data Reader instructions. */
-    std::vector<std::uint8_t> inlineData;
+    /** Bytes captured by inline (non-DMA) Data Reader instructions
+     *  (status bytes and IDs stay inline; a parameter page spills). */
+    InlineVec<std::uint8_t, 16> inlineData;
 
     /** ECC outcome for DMA-ed reads with correction enabled. */
     std::uint32_t eccCorrectedBits = 0;
     std::uint32_t eccFailedCodewords = 0;
     /** Raw errors in the dirtiest codeword (near-miss margin input). */
     std::uint32_t eccMaxCodewordBits = 0;
+};
+
+/**
+ * The hot ops' transaction labels ("READ.ca c3"), formatted once per
+ * chip when a software controller is built instead of once per
+ * transaction. Both software environments emit the same labels.
+ */
+struct TxnLabels
+{
+    explicit TxnLabels(std::uint32_t chips);
+
+    obs::ChipLabels readStatus, readCa, readXfer, pslcReadCa, pslcReadXfer,
+        oobReadCa, oobReadXfer, program, erase;
 };
 
 struct Transaction
@@ -44,21 +58,25 @@ struct Transaction
     /** Scheduling priority (higher first, policy permitting). */
     int priority = 0;
 
-    /** Trace label, e.g. "READ_STATUS chip2". */
-    std::string label;
+    /** Trace label, e.g. "READ_STATUS c2". */
+    obs::Label label;
 
-    std::vector<Instruction> instructions;
+    /** Longest instruction list the ops build (a program with its OOB
+     *  tail is six). */
+    static constexpr std::size_t kMaxInstructions = 8;
+
+    InlineVec<Instruction, kMaxInstructions> instructions;
 
     /** Span of the controller op this transaction executes for; when
      *  left empty the exec unit resolves it from the op's chip. */
     obs::TraceContext ctx;
 
     /** Called when the segment (and any DMA) completes. */
-    std::function<void(TxnResult)> onComplete;
+    InlineFunction<void(TxnResult)> onComplete;
 
     Transaction() = default;
-    Transaction(std::uint32_t chip_, std::string label_)
-        : chip(chip_), label(std::move(label_))
+    Transaction(std::uint32_t chip_, obs::Label label_)
+        : chip(chip_), label(label_)
     {}
 
     Transaction &

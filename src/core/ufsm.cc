@@ -79,11 +79,12 @@ isConfirmCommand(std::uint8_t cmd)
 
 } // namespace
 
-BuiltSegment
-UfsmBank::emit(const Transaction &txn) const
+void
+UfsmBank::emit(const Transaction &txn, BuiltSegment &built) const
 {
-    BuiltSegment built;
+    built.readers.clear();
     chan::Segment &seg = built.segment;
+    seg.clear();
     seg.label = txn.label;
     seg.ceMask = 1u << txn.chip; // default; ChipControl overrides
 
@@ -101,10 +102,9 @@ UfsmBank::emit(const Transaction &txn) const
         }
         if (const auto *timer = std::get_if<Timer>(&ins)) {
             // Pure pause: an empty command item carrying only a delay.
-            chan::SegmentItem item;
+            chan::SegmentItem &item = seg.items.emplace_back();
             item.type = nand::CycleType::CmdLatch;
             item.preDelay = timer->duration;
-            seg.items.push_back(std::move(item));
             continue;
         }
         if (const auto *ca = std::get_if<CaWriter>(&ins)) {
@@ -113,7 +113,7 @@ UfsmBank::emit(const Transaction &txn) const
             std::size_t i = 0;
             while (i < ca->latches.size()) {
                 bool is_cmd = ca->latches[i].isCommand;
-                chan::SegmentItem item;
+                chan::SegmentItem &item = seg.items.emplace_back();
                 item.type = is_cmd ? nand::CycleType::CmdLatch
                                    : nand::CycleType::AddrLatch;
                 while (i < ca->latches.size() &&
@@ -121,25 +121,24 @@ UfsmBank::emit(const Transaction &txn) const
                     item.out.push_back(ca->latches[i].value);
                     ++i;
                 }
-                seg.items.push_back(std::move(item));
                 last = is_cmd ? Last::Command : Last::Address;
                 if (is_cmd)
-                    last_cmd = seg.items.back().out.back();
+                    last_cmd = item.out.back();
             }
             ends_busy = last == Last::Command && isConfirmCommand(last_cmd);
             continue;
         }
         if (const auto *dw = std::get_if<DataWriter>(&ins)) {
-            chan::SegmentItem item =
-                chan::SegmentItem::dataIn(packetizer_.fetch(*dw));
             // Category-2 wait: address (or column change) to data loading.
+            Tick pre = 0;
             if (last == Last::Address)
-                item.preDelay = timing_.tAdl;
+                pre = timing_.tAdl;
             else if (last == Last::Command)
-                item.preDelay = timing_.tCcs;
-            item.preDelay = std::max(item.preDelay,
-                                     packetizer_.setupTime());
-            seg.items.push_back(std::move(item));
+                pre = timing_.tCcs;
+            chan::SegmentItem &item = seg.beginDataIn(
+                std::max(pre, packetizer_.setupTime()));
+            packetizer_.fetchInto(*dw, seg.payload);
+            seg.endDataIn(item);
             last = Last::Data;
             // A data-in burst can start array work directly (SET
             // FEATURES parameters) — reserve tWB below.
@@ -179,8 +178,6 @@ UfsmBank::emit(const Transaction &txn) const
     // segments (status polls, transfers) leave the LUN idle.
     if (ends_busy)
         seg.postDelay = timing_.tWb;
-
-    return built;
 }
 
 } // namespace babol::core

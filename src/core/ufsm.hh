@@ -32,7 +32,7 @@ struct ReaderSlice
 struct BuiltSegment
 {
     chan::Segment segment;
-    std::vector<ReaderSlice> readers;
+    InlineVec<ReaderSlice, 4> readers;
 };
 
 class UfsmBank
@@ -43,12 +43,22 @@ class UfsmBank
     {}
 
     /**
-     * Emit the waveform segment for @p txn. Data Writer payloads are
+     * Emit the waveform segment for @p txn into @p built (cleared
+     * first; its buffers are reused). Data Writer payloads are
      * fetched from DRAM through the Packetizer at build time (the DMA
      * prefetch overlaps the preceding bus activity; its setup cost is
      * charged as a pre-delay on the burst).
      */
-    BuiltSegment emit(const Transaction &txn) const;
+    void emit(const Transaction &txn, BuiltSegment &built) const;
+
+    /** emit() into a fresh BuiltSegment. */
+    BuiltSegment
+    emit(const Transaction &txn) const
+    {
+        BuiltSegment built;
+        emit(txn, built);
+        return built;
+    }
 
   private:
     nand::TimingParams timing_;

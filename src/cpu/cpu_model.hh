@@ -21,10 +21,10 @@
 #define BABOL_CPU_CPU_MODEL_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "obs/sim_context.hh"
+#include "sim/inline_callback.hh"
+#include "sim/inline_vec.hh"
 #include "sim/sim_object.hh"
 
 namespace babol::cpu {
@@ -37,6 +37,9 @@ enum class CpuPriority : std::uint8_t {
 class CpuModel : public SimObject
 {
   public:
+    /** One work item's continuation. */
+    using Work = InlineFunction<void()>;
+
     CpuModel(EventQueue &eq, const std::string &name, std::uint32_t mhz)
         : SimObject(eq, name), mhz_(mhz),
           power_(eq, name, {"busy"},
@@ -64,7 +67,7 @@ class CpuModel : public SimObject
      * the item already executing).
      */
     void
-    execute(std::uint64_t cycles, std::function<void()> fn,
+    execute(std::uint64_t cycles, Work fn,
             const char *what = "cpu work",
             CpuPriority prio = CpuPriority::Normal)
     {
@@ -93,9 +96,9 @@ class CpuModel : public SimObject
   private:
     struct Item
     {
-        std::uint64_t cycles;
-        std::function<void()> fn;
-        const char *what;
+        std::uint64_t cycles = 0;
+        Work fn;
+        const char *what = nullptr;
     };
 
     void
@@ -103,29 +106,36 @@ class CpuModel : public SimObject
     {
         if (running_)
             return;
-        std::deque<Item> &queue =
+        RingQueue<Item> &queue =
             !highQueue_.empty() ? highQueue_ : normalQueue_;
         if (queue.empty())
             return;
-        Item item = std::move(queue.front());
-        queue.pop_front();
+        Item &item = queue.front();
+        const std::uint64_t cycles = item.cycles;
+        const char *what = item.what;
+        // One item runs at a time, so its continuation waits here and
+        // the event captures only `this`.
         running_ = true;
-        Tick dur = cyclesToTicks(item.cycles);
+        runningFn_ = std::move(item.fn);
+        queue.pop_front();
+        Tick dur = cyclesToTicks(cycles);
         busyTicks_ += dur;
         power_.charge(0, curTick(), curTick() + dur, activeMw_);
-        eq_.scheduleIn(dur, [this, fn = std::move(item.fn)] {
+        eq_.scheduleIn(dur, [this] {
             running_ = false;
+            Work fn = std::move(runningFn_);
             fn();
             pump();
-        }, item.what);
+        }, what);
     }
 
     std::uint32_t mhz_;
     obs::power::Meter power_;
     std::uint64_t activeMw_;
     bool running_ = false;
-    std::deque<Item> highQueue_;
-    std::deque<Item> normalQueue_;
+    Work runningFn_;
+    RingQueue<Item> highQueue_;
+    RingQueue<Item> normalQueue_;
     Tick busyTicks_ = 0;
     std::uint64_t totalCycles_ = 0;
     std::uint64_t workItems_ = 0;

@@ -13,22 +13,30 @@ void
 RtosKernel::createTask(RtosTask *task)
 {
     babol_assert(task != nullptr, "null task");
-    babol_assert(!alive_.count(task), "task '%s' registered twice",
+    babol_assert(!isAlive(task), "task '%s' registered twice",
                  task->taskName().c_str());
-    alive_.insert(task);
+    alive_.push_back(task);
     cpu_.execute(costs_.taskCreate, [] {}, "rtos task create");
 }
 
 void
 RtosKernel::destroyTask(RtosTask *task)
 {
-    alive_.erase(task);
+    auto it = std::find(alive_.begin(), alive_.end(), task);
+    if (it != alive_.end())
+        alive_.erase(it);
+}
+
+bool
+RtosKernel::isAlive(const RtosTask *task) const
+{
+    return std::find(alive_.begin(), alive_.end(), task) != alive_.end();
 }
 
 void
 RtosKernel::enqueue(RtosTask *to, std::uint64_t msg)
 {
-    babol_assert(alive_.count(to), "message to unregistered task");
+    babol_assert(isAlive(to), "message to unregistered task");
     pending_.push_back({to, msg, nextSeq_++});
     pump();
 }
@@ -67,18 +75,20 @@ RtosKernel::dispatchOne()
 
     // Pick the highest-priority pending message (FIFO within a priority),
     // as a preemptive-priority kernel would.
-    auto best = pending_.begin();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->task->priority() > best->task->priority() ||
-            (it->task->priority() == best->task->priority() &&
-             it->seq < best->seq)) {
-            best = it;
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+        const Pending &it = pending_[i];
+        const Pending &b = pending_[best];
+        if (it.task->priority() > b.task->priority() ||
+            (it.task->priority() == b.task->priority() &&
+             it.seq < b.seq)) {
+            best = i;
         }
     }
-    Pending p = *best;
+    Pending p = pending_[best];
     pending_.erase(best);
 
-    if (alive_.count(p.task)) {
+    if (isAlive(p.task)) {
         ++delivered_;
         p.task->onMessage(*this, p.msg);
     }

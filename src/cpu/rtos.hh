@@ -15,11 +15,11 @@
 #define BABOL_CPU_RTOS_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "cpu_model.hh"
+#include "sim/inline_vec.hh"
 
 namespace babol::cpu {
 
@@ -87,13 +87,15 @@ class RtosKernel : public SimObject
     };
 
     void enqueue(RtosTask *to, std::uint64_t msg);
+    bool isAlive(const RtosTask *task) const;
     void pump();
     void dispatchOne();
 
     CpuModel &cpu_;
     RtosCosts costs_;
-    std::deque<Pending> pending_;
-    std::unordered_set<RtosTask *> alive_;
+    RingQueue<Pending> pending_;
+    /** Registered tasks: a handful (one op per chip), so a flat list. */
+    std::vector<RtosTask *> alive_;
     bool dispatchScheduled_ = false;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t delivered_ = 0;

@@ -29,32 +29,43 @@ DramBuffer::checkRange(std::uint64_t addr, std::uint64_t len) const
 void
 DramBuffer::write(std::uint64_t addr, std::span<const std::uint8_t> data)
 {
-    checkRange(addr, data.size());
-    std::copy(data.begin(), data.end(), mem_.begin() + addr);
-    bytesWritten_ += data.size();
-    if (power_.enabled()) {
-        const Tick t0 = curTick();
-        const std::uint64_t fj = data.size() *
-            power_.params().dramPjPerByte * 1000;
-        power_.chargeEnergy(1, fj);
-        power_.noteActive(t0, t0 + transferTime(data.size()), fj);
-    }
+    std::span<std::uint8_t> dst = writeSpan(addr, data.size());
+    std::copy(data.begin(), data.end(), dst.begin());
 }
 
 void
 DramBuffer::read(std::uint64_t addr, std::span<std::uint8_t> out) const
 {
-    checkRange(addr, out.size());
-    std::copy(mem_.begin() + addr, mem_.begin() + addr + out.size(),
-              out.begin());
-    bytesRead_ += out.size();
+    std::span<const std::uint8_t> src = readSpan(addr, out.size());
+    std::copy(src.begin(), src.end(), out.begin());
+}
+
+std::span<std::uint8_t>
+DramBuffer::writeSpan(std::uint64_t addr, std::uint64_t len)
+{
+    checkRange(addr, len);
+    bytesWritten_ += len;
     if (power_.enabled()) {
         const Tick t0 = curTick();
-        const std::uint64_t fj = out.size() *
-            power_.params().dramPjPerByte * 1000;
-        power_.chargeEnergy(0, fj);
-        power_.noteActive(t0, t0 + transferTime(out.size()), fj);
+        const std::uint64_t fj = len * power_.params().dramPjPerByte * 1000;
+        power_.chargeEnergy(1, fj);
+        power_.noteActive(t0, t0 + transferTime(len), fj);
     }
+    return {mem_.data() + addr, static_cast<std::size_t>(len)};
+}
+
+std::span<const std::uint8_t>
+DramBuffer::readSpan(std::uint64_t addr, std::uint64_t len) const
+{
+    checkRange(addr, len);
+    bytesRead_ += len;
+    if (power_.enabled()) {
+        const Tick t0 = curTick();
+        const std::uint64_t fj = len * power_.params().dramPjPerByte * 1000;
+        power_.chargeEnergy(0, fj);
+        power_.noteActive(t0, t0 + transferTime(len), fj);
+    }
+    return {mem_.data() + addr, static_cast<std::size_t>(len)};
 }
 
 Tick

@@ -43,6 +43,17 @@ class DramBuffer : public SimObject
     /** Copy out of the buffer at @p addr. */
     void read(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
+    /**
+     * The DMA engine's zero-copy forms of write() and read(): check the
+     * range, count and charge the access exactly as the copying forms
+     * do, and hand back the bytes in place. The caller fills (or
+     * consumes) them before the next access to the buffer.
+     */
+    std::span<std::uint8_t> writeSpan(std::uint64_t addr,
+                                      std::uint64_t len);
+    std::span<const std::uint8_t> readSpan(std::uint64_t addr,
+                                           std::uint64_t len) const;
+
     /** Time a DMA of @p bytes occupies the DRAM port. */
     Tick transferTime(std::uint64_t bytes) const;
 

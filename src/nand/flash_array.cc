@@ -42,8 +42,11 @@ FlashArray::eraseBlock(std::uint32_t block, bool slcMode)
     bs.nextPage = 0;
     bs.reads = 0;
     bs.slc = slcMode;
-    for (std::uint32_t p = 0; p < geo_.pagesPerBlock; ++p)
-        pages_.erase(pageKey(block, p));
+    // Erased pages' storage waits for the next program to reuse it.
+    for (std::uint32_t p = 0; p < geo_.pagesPerBlock; ++p) {
+        if (auto node = pages_.extract(pageKey(block, p)))
+            erasedPages_.push_back(std::move(node));
+    }
 
     // Past rated endurance, each further erase has a growing chance of a
     // verify failure, after which the block should be retired.
@@ -77,12 +80,20 @@ FlashArray::programPage(std::uint32_t block, std::uint32_t page,
     if (pages_.count(pageKey(block, page)))
         return ArrayStatus::ProtocolError;
 
-    StoredPage sp;
-    sp.bytes.assign(geo_.pageTotalBytes(), 0xFF);
-    std::copy(data.begin(), data.end(), sp.bytes.begin());
-    sp.programTick = now;
-    sp.readsBaseline = bs.reads;
-    pages_[pageKey(block, page)] = std::move(sp);
+    const std::uint64_t key = pageKey(block, page);
+    StoredPage *sp;
+    if (erasedPages_.empty()) {
+        sp = &pages_[key];
+    } else {
+        auto node = std::move(erasedPages_.back());
+        erasedPages_.pop_back();
+        node.key() = key;
+        sp = &pages_.insert(std::move(node)).position->second;
+    }
+    sp->bytes.assign(geo_.pageTotalBytes(), 0xFF);
+    std::copy(data.begin(), data.end(), sp->bytes.begin());
+    sp->programTick = now;
+    sp->readsBaseline = bs.reads;
     bs.nextPage = page + 1;
     return ArrayStatus::Ok;
 }
@@ -167,9 +178,19 @@ PageLoad
 FlashArray::readPage(std::uint32_t block, std::uint32_t page,
                      std::uint32_t retryLevel, bool slcRead, Tick now)
 {
+    PageLoad load;
+    readPage(block, page, retryLevel, slcRead, now, load);
+    return load;
+}
+
+void
+FlashArray::readPage(std::uint32_t block, std::uint32_t page,
+                     std::uint32_t retryLevel, bool slcRead, Tick now,
+                     PageLoad &load)
+{
     checkPage(block, page);
 
-    PageLoad load;
+    load.flippedBits.clear();
     auto it = pages_.find(pageKey(block, page));
     if (it == pages_.end()) {
         // Erased (or never-written) pages read back as all ones with no
@@ -177,7 +198,7 @@ FlashArray::readPage(std::uint32_t block, std::uint32_t page,
         load.data.assign(geo_.pageTotalBytes(), 0xFF);
         load.programmed = false;
         ++blocks_[block].reads;
-        return load;
+        return;
     }
 
     load.data = it->second.bytes;
@@ -198,7 +219,6 @@ FlashArray::readPage(std::uint32_t block, std::uint32_t page,
         load.data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
         load.flippedBits.push_back(bit);
     }
-    return load;
 }
 
 std::uint32_t

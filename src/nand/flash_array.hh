@@ -108,6 +108,11 @@ class FlashArray
                       std::uint32_t retryLevel, bool slcRead,
                       Tick now = 0);
 
+    /** readPage() into @p load, reusing its buffers' storage. */
+    void readPage(std::uint32_t block, std::uint32_t page,
+                  std::uint32_t retryLevel, bool slcRead, Tick now,
+                  PageLoad &load);
+
     /** P/E cycles a block has seen. */
     std::uint32_t peCycles(std::uint32_t block) const;
 
@@ -198,6 +203,9 @@ class FlashArray
     Rng rng_;
     std::vector<BlockState> blocks_;
     std::unordered_map<std::uint64_t, StoredPage> pages_;
+    /** Storage of erased pages, reused by the next programs so steady
+     *  program/erase cycling allocates nothing. */
+    std::vector<decltype(pages_)::node_type> erasedPages_;
 };
 
 } // namespace babol::nand

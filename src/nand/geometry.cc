@@ -19,7 +19,7 @@ bitsFor(std::uint64_t n)
 
 } // namespace
 
-std::vector<std::uint8_t>
+AddressCycles
 encodeRow(const Geometry &geo, const RowAddress &row)
 {
     babol_assert(row.lun < geo.lunsPerPackage, "LUN %u out of range",
@@ -36,9 +36,9 @@ encodeRow(const Geometry &geo, const RowAddress &row)
     packed |= static_cast<std::uint64_t>(row.block) << page_bits;
     packed |= static_cast<std::uint64_t>(row.lun) << (page_bits + block_bits);
 
-    std::vector<std::uint8_t> bytes(geo.rowAddressBytes());
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        bytes[i] = static_cast<std::uint8_t>(packed >> (8 * i));
+    AddressCycles bytes;
+    for (std::size_t i = 0; i < geo.rowAddressBytes(); ++i)
+        bytes.push_back(static_cast<std::uint8_t>(packed >> (8 * i)));
 
     std::uint32_t total_bits =
         page_bits + block_bits + bitsFor(geo.lunsPerPackage);
@@ -49,7 +49,7 @@ encodeRow(const Geometry &geo, const RowAddress &row)
 }
 
 RowAddress
-decodeRow(const Geometry &geo, const std::vector<std::uint8_t> &bytes)
+decodeRow(const Geometry &geo, std::span<const std::uint8_t> bytes)
 {
     babol_assert(bytes.size() == geo.rowAddressBytes(),
                  "row address has %zu cycles, expected %u", bytes.size(),
@@ -70,19 +70,19 @@ decodeRow(const Geometry &geo, const std::vector<std::uint8_t> &bytes)
     return row;
 }
 
-std::vector<std::uint8_t>
+AddressCycles
 encodeColumn(const Geometry &geo, std::uint32_t column)
 {
     babol_assert(column < geo.pageTotalBytes(), "column %u out of range",
                  column);
-    std::vector<std::uint8_t> bytes(geo.colAddressBytes());
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        bytes[i] = static_cast<std::uint8_t>(column >> (8 * i));
+    AddressCycles bytes;
+    for (std::size_t i = 0; i < geo.colAddressBytes(); ++i)
+        bytes.push_back(static_cast<std::uint8_t>(column >> (8 * i)));
     return bytes;
 }
 
 std::uint32_t
-decodeColumn(const Geometry &geo, const std::vector<std::uint8_t> &bytes)
+decodeColumn(const Geometry &geo, std::span<const std::uint8_t> bytes)
 {
     babol_assert(bytes.size() == geo.colAddressBytes(),
                  "column address has %zu cycles, expected %u", bytes.size(),
@@ -93,12 +93,12 @@ decodeColumn(const Geometry &geo, const std::vector<std::uint8_t> &bytes)
     return column;
 }
 
-std::vector<std::uint8_t>
+AddressCycles
 encodeColRow(const Geometry &geo, std::uint32_t column, const RowAddress &row)
 {
-    std::vector<std::uint8_t> bytes = encodeColumn(geo, column);
-    std::vector<std::uint8_t> row_bytes = encodeRow(geo, row);
-    bytes.insert(bytes.end(), row_bytes.begin(), row_bytes.end());
+    AddressCycles bytes = encodeColumn(geo, column);
+    AddressCycles row_bytes = encodeRow(geo, row);
+    bytes.append(row_bytes.begin(), row_bytes.end());
     return bytes;
 }
 

@@ -11,8 +11,10 @@
 #define BABOL_NAND_GEOMETRY_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "sim/inline_vec.hh"
 #include "sim/logging.hh"
 
 namespace babol::nand {
@@ -99,26 +101,27 @@ struct RowAddress
     }
 };
 
+/** Address cycles of one ONFI address phase (at most 8; held inline
+ *  so building a transaction's address allocates nothing). */
+using AddressCycles = InlineVec<std::uint8_t, 8>;
+
 /** Encode a row address into ONFI row cycles (LSB first). */
-std::vector<std::uint8_t> encodeRow(const Geometry &geo,
-                                    const RowAddress &row);
+AddressCycles encodeRow(const Geometry &geo, const RowAddress &row);
 
 /** Decode ONFI row cycles into a row address; panics on bad width. */
 RowAddress decodeRow(const Geometry &geo,
-                     const std::vector<std::uint8_t> &bytes);
+                     std::span<const std::uint8_t> bytes);
 
 /** Encode a column (byte offset in page) into ONFI column cycles. */
-std::vector<std::uint8_t> encodeColumn(const Geometry &geo,
-                                       std::uint32_t column);
+AddressCycles encodeColumn(const Geometry &geo, std::uint32_t column);
 
 /** Decode ONFI column cycles into a byte offset. */
 std::uint32_t decodeColumn(const Geometry &geo,
-                           const std::vector<std::uint8_t> &bytes);
+                           std::span<const std::uint8_t> bytes);
 
 /** Encode column followed by row (the 5-cycle READ/PROGRAM address). */
-std::vector<std::uint8_t> encodeColRow(const Geometry &geo,
-                                       std::uint32_t column,
-                                       const RowAddress &row);
+AddressCycles encodeColRow(const Geometry &geo, std::uint32_t column,
+                           const RowAddress &row);
 
 } // namespace babol::nand
 

@@ -13,12 +13,17 @@ namespace babol {
 std::string
 vstrfmt(const char *fmt, std::va_list args)
 {
+    // One pass into a stack buffer covers almost every message; only
+    // longer text is measured and formatted a second time.
+    char buf[256];
     std::va_list args_copy;
     va_copy(args_copy, args);
-    int n = std::vsnprintf(nullptr, 0, fmt, args_copy);
+    int n = std::vsnprintf(buf, sizeof(buf), fmt, args_copy);
     va_end(args_copy);
     if (n < 0)
         return std::string("<format error>");
+    if (static_cast<std::size_t>(n) < sizeof(buf))
+        return std::string(buf, static_cast<std::size_t>(n));
 
     std::string out(static_cast<std::size_t>(n), '\0');
     std::vsnprintf(out.data(), out.size() + 1, fmt, args);
@@ -139,6 +144,12 @@ DebugFlags::clearAll()
 {
     flagSet().clear();
     anyFlag().store(false, std::memory_order_relaxed);
+}
+
+bool
+DebugFlags::any()
+{
+    return anyFlag().load(std::memory_order_relaxed);
 }
 
 void

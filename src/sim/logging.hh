@@ -82,6 +82,9 @@ class DebugFlags
     static bool enabled(const std::string &flag);
     /** Remove all enabled flags. */
     static void clearAll();
+    /** True while any flag is enabled: lets a caller skip building
+     *  dtrace arguments when tracing is off. */
+    static bool any();
 };
 
 /** Emit a trace line when the named debug flag is enabled. */

@@ -176,8 +176,7 @@ TEST_F(AuditTest, TadlViolationCaughtAtBothBusAndLunLayers)
     seg.items.push_back(SegmentItem::address(
         encodeColRow(rig.cfg.geometry, 0, {0, 0, 0})));
     // Deliberately no tADL preDelay before the data burst.
-    seg.items.push_back(
-        SegmentItem::dataIn(std::vector<std::uint8_t>(64, 0xAB)));
+    seg.dataIn(std::vector<std::uint8_t>(64, 0xAB));
     seg.items.push_back(SegmentItem::command(opcode::kProgram2));
     seg.postDelay = rig.cfg.timing.tWb;
     rig.run(std::move(seg));

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "chan/bus.hh"
+#include "obs/sim_context.hh"
 
 using namespace babol;
 using namespace babol::chan;
@@ -20,7 +21,8 @@ namespace {
 
 struct BusRig
 {
-    EventQueue eq;
+    SimContext ctx;
+    EventQueue eq{ctx};
     PackageConfig cfg = hynixPackage();
     std::vector<std::unique_ptr<Package>> pkgs;
     std::unique_ptr<ChannelBus> bus;
@@ -55,6 +57,42 @@ struct BusRig
         eq.run();
         EXPECT_TRUE(done);
         return out;
+    }
+
+    /** Arm the auditor in collector mode (reports, never throws). */
+    void
+    armCollector()
+    {
+        obs::audit::Auditor::Config cfg;
+        cfg.throwOnDiagnostic = false;
+        ctx.audit.arm(cfg);
+    }
+
+    /** READ of (block 0, page 0) on chip 0, then tR until it lands. */
+    void
+    loadErasedPage()
+    {
+        Segment latch;
+        latch.ceMask = 1;
+        latch.label = "read.ca";
+        latch.items.push_back(SegmentItem::command(opcode::kRead1));
+        latch.items.push_back(SegmentItem::address(
+            encodeColRow(cfg.geometry, 0, {0, 0, 0})));
+        latch.items.push_back(SegmentItem::command(opcode::kRead2));
+        runSegment(std::move(latch));
+    }
+
+    /** A data-out of @p bytes from the loaded page, on chip mask @p ce. */
+    Segment
+    pageOutSegment(std::uint32_t ce, std::uint32_t bytes)
+    {
+        Segment seg;
+        seg.ceMask = ce;
+        seg.label = "page out";
+        SegmentItem out = SegmentItem::dataOut(bytes);
+        out.preDelay = cfg.timing.tRr;
+        seg.items.push_back(out);
+        return seg;
     }
 
     /** A READ STATUS segment for chip mask @p ce. */
@@ -215,6 +253,81 @@ TEST(Bus, PhaseSkewCorruptsUntilAdjusted)
     EXPECT_TRUE(rig.bus->phaseOk(0));
     r = rig.runSegment(BusRig::statusSegment(1));
     EXPECT_TRUE(r.dataOut.at(0) & status::kRdy);
+}
+
+TEST(Bus, DataOutWithNoChipEnabledCapturesZeros)
+{
+    // The capture buffer is reused segment after segment: a data-out
+    // that nothing drives must read back 0s, not the bytes the previous
+    // segment left behind.
+    BusRig rig(1);
+    rig.armCollector();
+    rig.loadErasedPage();
+    SegmentResult page = rig.runSegment(rig.pageOutSegment(1, 512));
+    ASSERT_EQ(page.dataOut.size(), 512u);
+    EXPECT_EQ(page.dataOut.front(), 0xFF); // erased page
+
+    SegmentResult none = rig.runSegment(rig.pageOutSegment(0, 512));
+    EXPECT_EQ(none.dataOut, std::vector<std::uint8_t>(512, 0));
+    EXPECT_GE(rig.ctx.audit.diagnostics().size(), 1u); // ce-overlap
+}
+
+TEST(Bus, DataOutItemsConcatenateInOrder)
+{
+    // Two DataOut items in one segment land back to back, in order:
+    // READ ID's "ONFI" signature split 1 + 3.
+    BusRig rig(1);
+    Segment seg;
+    seg.ceMask = 1;
+    seg.label = "read id";
+    seg.items.push_back(SegmentItem::command(opcode::kReadId));
+    seg.items.push_back(SegmentItem::address({id_address::kOnfi}));
+    SegmentItem first = SegmentItem::dataOut(1);
+    first.preDelay = rig.cfg.timing.tWhr;
+    seg.items.push_back(first);
+    seg.items.push_back(SegmentItem::dataOut(3));
+    SegmentResult r = rig.runSegment(std::move(seg));
+    EXPECT_EQ(std::string(r.dataOut.begin(), r.dataOut.end()), "ONFI");
+}
+
+TEST(Bus, CompletionSeesOnlyItsOwnSegmentsBytes)
+{
+    BusRig rig(1);
+    rig.loadErasedPage();
+    SegmentResult page = rig.runSegment(rig.pageOutSegment(1, 4096));
+    ASSERT_EQ(page.dataOut.size(), 4096u);
+
+    // A one-byte status read after a 4 KiB capture hands its completion
+    // exactly one byte, and a segment without data-out hands none.
+    SegmentResult status = rig.runSegment(BusRig::statusSegment(1));
+    ASSERT_EQ(status.dataOut.size(), 1u);
+    EXPECT_TRUE(status.dataOut[0] & status::kRdy);
+
+    Segment reset;
+    reset.ceMask = 1;
+    reset.label = "reset";
+    reset.items.push_back(SegmentItem::command(opcode::kReset));
+    EXPECT_TRUE(rig.runSegment(std::move(reset)).dataOut.empty());
+}
+
+TEST(Bus, PhaseCheckUsesThePackageDrivingDq)
+{
+    // With two CEs enabled (reported under the auditor) the lowest
+    // selected package drives DQ, so its sampling phase is the one that
+    // decides corruption — not the last package in the mask.
+    BusRig clean(2);
+    const std::uint8_t status =
+        clean.runSegment(BusRig::statusSegment(0b01)).dataOut.at(0);
+
+    BusRig rig(2);
+    rig.armCollector();
+    Tick window = rig.bus->phy().phaseWindow();
+    rig.bus->setPhaseSkew(0, 4 * window);
+    ASSERT_FALSE(rig.bus->phaseOk(0));
+    ASSERT_TRUE(rig.bus->phaseOk(1));
+    SegmentResult r = rig.runSegment(BusRig::statusSegment(0b11));
+    ASSERT_EQ(r.dataOut.size(), 1u);
+    EXPECT_EQ(r.dataOut[0], static_cast<std::uint8_t>(status ^ 0xFF));
 }
 
 TEST(Bus, StatsAccumulate)

@@ -125,9 +125,7 @@ struct LunRig
         seg.items.push_back(SegmentItem::command(opcode::kProgram1));
         seg.items.push_back(SegmentItem::address(
             encodeColRow(cfg.geometry, 0, {0, block, page})));
-        SegmentItem din = SegmentItem::dataIn(data);
-        din.preDelay = cfg.timing.tAdl;
-        seg.items.push_back(din);
+        seg.dataIn(data, cfg.timing.tAdl);
         seg.items.push_back(SegmentItem::command(opcode::kProgram2));
         seg.postDelay = cfg.timing.tWb;
         run(std::move(seg));
@@ -382,9 +380,8 @@ TEST(LunProtocol, SetFeaturesReadRetryLevel)
     seg.items.push_back(SegmentItem::command(opcode::kSetFeatures));
     seg.items.push_back(
         SegmentItem::address({feature::kVendorReadRetry}));
-    SegmentItem din = SegmentItem::dataIn({3, 0, 0, 0});
-    din.preDelay = rig.cfg.timing.tAdl;
-    seg.items.push_back(din);
+    const std::uint8_t params[] = {3, 0, 0, 0};
+    seg.dataIn(params, rig.cfg.timing.tAdl);
     seg.postDelay = rig.cfg.timing.tWb;
     rig.run(std::move(seg));
     rig.pollReady();
@@ -452,7 +449,8 @@ TEST(LunProtocol, TimingGuardTadlViolationPanics)
     // Data burst with NO tADL wait: the LUN must reject it. (With the
     // conformance auditor armed the bus-side AC rule panics already at
     // issue(); unarmed, the LUN guard fires during the run.)
-    seg.items.push_back(SegmentItem::dataIn({1, 2, 3}));
+    const std::uint8_t bytes[] = {1, 2, 3};
+    seg.dataIn(bytes);
     seg.ceMask = 1;
     EXPECT_THROW(
         {

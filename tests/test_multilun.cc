@@ -101,9 +101,7 @@ struct DualLunRig
         seg.items.push_back(SegmentItem::command(opcode::kProgram1));
         seg.items.push_back(SegmentItem::address(
             encodeColRow(cfg.geometry, 0, {lun, block, 0})));
-        SegmentItem din = SegmentItem::dataIn(data);
-        din.preDelay = cfg.timing.tAdl;
-        seg.items.push_back(din);
+        seg.dataIn(data, cfg.timing.tAdl);
         seg.items.push_back(SegmentItem::command(opcode::kProgram2));
         seg.postDelay = cfg.timing.tWb;
         run(std::move(seg));

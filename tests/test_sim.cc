@@ -4,6 +4,8 @@
  * formatting, RNG determinism, and time conversions.
  */
 
+#include <cstdarg>
+#include <cstdio>
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -381,6 +383,48 @@ TEST(Logging, StrfmtFormats)
 {
     EXPECT_EQ(strfmt("x=%d y=%s", 7, "ok"), "x=7 y=ok");
     EXPECT_EQ(strfmt("%04x", 0xBEu), "00be");
+}
+
+namespace {
+
+/** The measure-then-format reference vstrfmt's one-pass path must match. */
+std::string
+twoPassFormat(const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    std::va_list measure;
+    va_copy(measure, args);
+    const int n = std::vsnprintf(nullptr, 0, fmt, measure);
+    va_end(measure);
+    std::string out(static_cast<std::size_t>(n), '\0');
+    std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+    va_end(args);
+    return out;
+}
+
+} // namespace
+
+TEST(Logging, StrfmtMatchesTwoPassAroundItsStackBuffer)
+{
+    // vstrfmt formats into a 256-byte stack buffer and falls back to
+    // measuring only for longer text: check both sides of the edge.
+    for (std::size_t len : {0u, 255u, 256u, 257u, 4096u}) {
+        std::string body;
+        for (std::size_t i = 0; i < len; ++i)
+            body.push_back(static_cast<char>('a' + i % 26));
+        EXPECT_EQ(strfmt("%s", body.c_str()),
+                  twoPassFormat("%s", body.c_str()))
+            << "length " << len;
+        EXPECT_EQ(strfmt("%s", body.c_str()).size(), len);
+        // A conversion straddling the edge.
+        if (len >= 3) {
+            const std::string head = body.substr(0, len - 3);
+            EXPECT_EQ(strfmt("%s%03d", head.c_str(), 7),
+                      twoPassFormat("%s%03d", head.c_str(), 7))
+                << "length " << len;
+        }
+    }
 }
 
 TEST(Logging, PanicAndFatalThrowDistinctTypes)

@@ -35,13 +35,14 @@ TEST(Ufsm, CaWriterGroupsLatchRuns)
 
     ASSERT_EQ(built.segment.items.size(), 3u);
     EXPECT_EQ(built.segment.items[0].type, CycleType::CmdLatch);
-    EXPECT_EQ(built.segment.items[0].out,
-              std::vector<std::uint8_t>{0x00});
+    auto bytes = [&](std::size_t i) {
+        const auto &out = built.segment.items[i].out;
+        return std::vector<std::uint8_t>(out.begin(), out.end());
+    };
+    EXPECT_EQ(bytes(0), std::vector<std::uint8_t>{0x00});
     EXPECT_EQ(built.segment.items[1].type, CycleType::AddrLatch);
-    EXPECT_EQ(built.segment.items[1].out,
-              (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
-    EXPECT_EQ(built.segment.items[2].out,
-              std::vector<std::uint8_t>{0x30});
+    EXPECT_EQ(bytes(1), (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(bytes(2), std::vector<std::uint8_t>{0x30});
 }
 
 TEST(Ufsm, ConfirmCommandsReserveTwb)
@@ -85,7 +86,8 @@ TEST(Ufsm, DataInAfterAddressGetsTadl)
     EmitRig rig;
     Transaction txn(0, "t");
     txn.add(CaWriter::command(opcode::kProgram1).addr({0, 0, 0, 0, 0}));
-    txn.add(DataWriter{.bytes = 4, .inlineData = {1, 2, 3, 4}});
+    const std::uint8_t params[] = {1, 2, 3, 4};
+    txn.add(DataWriter{.bytes = 4, .inlineData = params});
     BuiltSegment built = rig.bank.emit(txn);
     EXPECT_GE(built.segment.items.back().preDelay, rig.timing.tAdl);
 }
@@ -144,7 +146,8 @@ TEST(Packetizer, FetchReadsDramOrInline)
     DataWriter from_dram{.dramAddr = 100, .bytes = 4, .eccEncode = false, .inlineData = {}};
     EXPECT_EQ(rig.pktz.fetch(from_dram), payload);
 
-    DataWriter inline_dw{.dramAddr = 0, .bytes = 2, .eccEncode = false, .inlineData = {0xAA, 0xBB}};
+    const std::uint8_t inline_bytes[] = {0xAA, 0xBB};
+    DataWriter inline_dw{.dramAddr = 0, .bytes = 2, .eccEncode = false, .inlineData = inline_bytes};
     EXPECT_EQ(rig.pktz.fetch(inline_dw),
               (std::vector<std::uint8_t>{0xAA, 0xBB}));
 }
