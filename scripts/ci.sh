@@ -46,10 +46,18 @@
 #                  src/ API change that breaks e2ebench/adapter.cc, or a
 #                  traced run whose simulated digest differs from the
 #                  untraced one, fails here
+#   --count-gate-only  machine-independent count gate: builds e2ebench/
+#                  into build/e2ebench, runs read_fig12 and nvme_tenants
+#                  traced at seed 1 with no time budget, and compares
+#                  events, allocations, transactions and segments per IO
+#                  with bench/count_gate.json (scripts/count_gate.py):
+#                  equal passes, a drop fails until the file records it,
+#                  a rise fails. COUNT_GATE_BASE=<git rev> also forbids
+#                  the file itself from raising a count over that rev's
 #
 # Usage: scripts/ci.sh
 #   [--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|
-#    --guard-only|--reliability-only|--e2e-smoke-only]
+#    --guard-only|--reliability-only|--e2e-smoke-only|--count-gate-only]
 
 set -euo pipefail
 
@@ -254,6 +262,17 @@ stage_e2e_smoke() {
         CARGO_TARGET_DIR="$ROOT/build/e2ebench" python3 e2ebench/smoke_test.py)
 }
 
+stage_count_gate() {
+    echo "=== tier-1: count gate ==="
+    local base=()
+    if [[ -n "${COUNT_GATE_BASE:-}" ]]; then
+        base=(--base "$COUNT_GATE_BASE")
+    fi
+    (cd "$ROOT" &&
+        CARGO_TARGET_DIR="$ROOT/build/e2ebench" \
+            python3 scripts/count_gate.py ${base[@]+"${base[@]}"})
+}
+
 # Bench-regression guard: the event kernel's throughput must stay
 # within 15% of the committed baseline. One retry absorbs machine
 # noise; the comparison uses sed/awk only, no extra tooling.
@@ -365,6 +384,7 @@ case "$MODE" in
   --guard-only) stage_guard ;;
   --reliability-only) stage_reliability ;;
   --e2e-smoke-only) stage_e2e_smoke ;;
+  --count-gate-only) stage_count_gate ;;
   all)
     stage_plain
     stage_audit
@@ -374,10 +394,11 @@ case "$MODE" in
     stage_tsan
     stage_guard
     stage_e2e_smoke
+    stage_count_gate
     ;;
   *)
     echo "usage: scripts/ci.sh" \
-         "[--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|--guard-only|--reliability-only|--e2e-smoke-only]" \
+         "[--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|--guard-only|--reliability-only|--e2e-smoke-only|--count-gate-only]" \
          >&2
     exit 2
     ;;

@@ -450,7 +450,8 @@ PageFtl::readPage(std::uint64_t lpn, std::uint64_t dram_addr, Callback cb)
     req.row = {0, ppa.block, ppa.page};
     req.dramAddr = dram_addr;
     req.ctx.span = span;
-    req.onComplete = [this, cb, span, lpn, ppa, dram_addr](OpResult r) {
+    req.onComplete = [this, cb = std::move(cb), span, lpn, ppa,
+                      dram_addr](OpResult r) {
         if (r.ok) {
             // Audit invariant: an acknowledged read is never served
             // straight off a dead die — a dead region fails every
