@@ -49,8 +49,8 @@
 #   --count-gate-only  machine-independent count gate: builds e2ebench/
 #                  into build/e2ebench, runs read_fig12 and nvme_tenants
 #                  traced at seed 1 with no time budget, and compares
-#                  events, allocations, transactions and segments per IO
-#                  with bench/count_gate.json (scripts/count_gate.py):
+#                  events, allocations, transactions, scheduler passes
+#                  and segments per IO or op with bench/count_gate.json (scripts/count_gate.py):
 #                  equal passes, a drop fails until the file records it,
 #                  a rise fails. COUNT_GATE_BASE=<git rev> also forbids
 #                  the file itself from raising a count over that rev's

@@ -12,7 +12,6 @@ CoroController::CoroController(EventQueue &eq, const std::string &name,
           makeTxnScheduler(cfg.txnPolicy), SoftwareCosts::coroutine()),
       tasks_(makeTaskScheduler(cfg.taskPolicy)),
       env_{rt_, sys},
-      chipBusy_(sys.chipCount(), false),
       live_(sys.chipCount())
 {
     governMeter(cpu_.powerMeter());
@@ -22,7 +21,7 @@ void
 CoroController::submitNow(FlashRequest req)
 {
     acceptRequest(req);
-    babol_assert(req.chip < chipBusy_.size(), "chip %u out of range",
+    babol_assert(req.chip < sys_.chipCount(), "chip %u out of range",
                  req.chip);
     tasks_->submit(std::move(req));
     kickAdmit();
@@ -36,8 +35,7 @@ CoroController::kickAdmit()
     admitPending_ = true;
     cpu_.execute(rt_.costs().taskAdmit, [this] {
         admitPending_ = false;
-        auto req = tasks_->admitNext(
-            [this](std::uint32_t chip) { return !chipBusy_[chip]; });
+        auto req = tasks_->admitNext(chipBusy_);
         if (req) {
             startRequest(std::move(*req));
             // More chips may be idle; admit again until nothing fits.
@@ -73,7 +71,7 @@ CoroController::dispatch(const FlashRequest &req)
 void
 CoroController::startRequest(FlashRequest req)
 {
-    chipBusy_[req.chip] = true;
+    chipBusy_ |= ChipMask{1} << req.chip;
     noteOpStart(req);
     const std::uint32_t chip = req.chip;
 
@@ -107,7 +105,7 @@ CoroController::completeRequest(std::uint32_t chip)
     OpResult result = live.op.result(); // rethrows op-body panics
     result.submitTick = live.req.submitTick;
 
-    chipBusy_[chip] = false;
+    chipBusy_ &= ~(ChipMask{1} << chip);
     FlashRequest req = std::move(live.req);
     req.onComplete = std::move(live.onComplete);
     live.op = Op<OpResult>(); // the frame goes back to the pool

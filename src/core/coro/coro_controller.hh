@@ -58,7 +58,9 @@ class CoroController : public ChannelController
     CoroRuntime rt_;
     std::unique_ptr<TaskScheduler> tasks_;
     OpEnv env_;
-    std::vector<bool> chipBusy_;
+    /** Bit c set while chip c runs an op (the task scheduler's
+     *  admission filter). */
+    ChipMask chipBusy_ = 0;
     /** One slot per chip (a chip runs one op at a time), reused. */
     std::vector<Live> live_;
     std::size_t liveCount_ = 0;

@@ -19,14 +19,14 @@ ExecUnit::ExecUnit(EventQueue &eq, const std::string &name,
 }
 
 void
-ExecUnit::push(Transaction &&txn)
+ExecUnit::push(TxnRef txn)
 {
     if (!hasSpace()) {
         panic("%s: transaction FIFO overflow (scheduler ignored "
               "hasSpace)",
               name().c_str());
     }
-    fifo_.push_back(Pending{std::move(txn), curTick()});
+    fifo_.push_back(Pending{txn, curTick()});
     tryIssue();
 }
 
@@ -37,11 +37,11 @@ ExecUnit::tryIssue()
         return;
 
     issuing_ = true;
-    Pending &pending = fifo_.front();
-    current_ = std::move(pending.txn);
-    const Tick enqueued_at = pending.enqueuedAt;
+    const Pending pending = fifo_.front();
     fifo_.pop_front();
-    Transaction &txn = current_;
+    current_ = pending.txn;
+    const Tick enqueued_at = pending.enqueuedAt;
+    Transaction &txn = txns_.get(current_);
 
     auto &aud = eq_.context().audit;
     if (aud.armed()) {
@@ -106,8 +106,11 @@ ExecUnit::finish(std::span<std::uint8_t> capture)
     ++executed_;
     issuing_ = false;
 
-    // The next tryIssue() reuses current_, so take the callback first.
-    InlineFunction<void(TxnResult)> done = std::move(current_.onComplete);
+    // Free the slot before the callback: the op it resumes may submit
+    // its next transaction straight away.
+    InlineFunction<void(TxnResult)> done =
+        std::move(txns_.get(current_).onComplete);
+    txns_.release(current_);
     if (done)
         done(std::move(out));
 

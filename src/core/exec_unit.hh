@@ -9,6 +9,10 @@
  * filled *ahead of time* by the (software) Transaction Scheduler, the
  * channel never waits on software in the steady state: that is the
  * paper's asynchronous-decoupling principle made concrete.
+ *
+ * The FIFO holds references: each transaction sits in the unit's
+ * TxnSlots from submit until it completes, and the segment is built
+ * straight from its slot.
  */
 
 #ifndef BABOL_CORE_EXEC_UNIT_HH
@@ -42,9 +46,14 @@ class ExecUnit : public SimObject
     /** True when no transaction is queued or on the wires. */
     bool idle() const { return fifo_.empty() && !issuing_; }
 
-    /** Push a ready transaction; panics when the FIFO is full (the
-     *  Transaction Scheduler must respect hasSpace()). */
-    void push(Transaction &&txn);
+    /** The slots transactions live in from submit to completion. */
+    TxnSlots &transactions() { return txns_; }
+
+    /** Push a ready transaction parked in transactions(); panics when
+     *  the FIFO is full (the Transaction Scheduler must respect
+     *  hasSpace()). The unit frees the slot when the transaction
+     *  completes. */
+    void push(TxnRef txn);
 
     /** Invoked whenever a FIFO slot frees up (doorbell to the
      *  Transaction Scheduler). */
@@ -76,16 +85,17 @@ class ExecUnit : public SimObject
      *  path can report queueing delay to the conformance auditor. */
     struct Pending
     {
-        Transaction txn;
+        TxnRef txn;
         Tick enqueuedAt = 0;
     };
 
+    TxnSlots txns_;
     std::uint32_t fifoDepth_;
     RingQueue<Pending> fifo_;
     bool issuing_ = false;
     /** The one transaction on the wires and its segment: the unit
-     *  issues one at a time, so both are reused in place. */
-    Transaction current_;
+     *  issues one at a time, so the segment is reused in place. */
+    TxnRef current_;
     BuiltSegment built_;
     std::function<void()> spaceCallback_;
     std::function<obs::SpanId(std::uint32_t)> ctxResolver_;

@@ -14,7 +14,6 @@ RtosController::RtosController(EventQueue &eq, const std::string &name,
       rt_(eq, name + ".rt", cpu_, sys.exec(),
           makeTxnScheduler(cfg.txnPolicy), SoftwareCosts::rtos()),
       tasks_(makeTaskScheduler(cfg.taskPolicy)),
-      chipBusy_(sys.chipCount(), false),
       doneResult_(sys.chipCount())
 {
     const std::size_t op_bytes =
@@ -30,7 +29,7 @@ void
 RtosController::submitNow(FlashRequest req)
 {
     acceptRequest(req);
-    babol_assert(req.chip < chipBusy_.size(), "chip %u out of range",
+    babol_assert(req.chip < sys_.chipCount(), "chip %u out of range",
                  req.chip);
     tasks_->submit(std::move(req));
     kickAdmit();
@@ -44,8 +43,7 @@ RtosController::kickAdmit()
     admitPending_ = true;
     cpu_.execute(rt_.costs().taskAdmit, [this] {
         admitPending_ = false;
-        auto req = tasks_->admitNext(
-            [this](std::uint32_t chip) { return !chipBusy_[chip]; });
+        auto req = tasks_->admitNext(chipBusy_);
         if (req) {
             startRequest(std::move(*req));
             kickAdmit();
@@ -56,7 +54,7 @@ RtosController::kickAdmit()
 void
 RtosController::startRequest(FlashRequest req)
 {
-    chipBusy_[req.chip] = true;
+    chipBusy_ |= ChipMask{1} << req.chip;
     noteOpStart(req);
     std::uint64_t id = nextId_++;
 
@@ -106,7 +104,7 @@ RtosController::completeRequest(std::uint32_t chip, OpResult res)
         slot.reset();
         --liveCount_;
 
-        chipBusy_[req.chip] = false;
+        chipBusy_ &= ~(ChipMask{1} << req.chip);
         finishOp(req, doneResult_[chip]);
         kickAdmit();
     }, "rtos op completion");

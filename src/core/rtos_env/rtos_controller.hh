@@ -54,7 +54,9 @@ class RtosController : public ChannelController
     cpu::RtosKernel kernel_;
     SoftRuntime rt_;
     std::unique_ptr<TaskScheduler> tasks_;
-    std::vector<bool> chipBusy_;
+    /** Bit c set while chip c runs an op (the task scheduler's
+     *  admission filter). */
+    ChipMask chipBusy_ = 0;
     /** The op task running on each chip, in storage reused op after
      *  op, and its result while the completion ISR is pending. */
     std::vector<InPlaceSlot<RtosOpBase>> live_;

@@ -4,65 +4,70 @@
 
 namespace babol::core {
 
+void
+checkSchedChip(std::uint32_t chip)
+{
+    if (chip >= kSchedChipSlots) {
+        panic("chip %u out of range: the schedulers track chips 0..%u",
+              chip, kSchedChipSlots - 1);
+    }
+}
+
+namespace {
+
+bool
+isBusy(ChipMask busy_chips, std::uint32_t chip)
+{
+    return (busy_chips >> chip) & 1;
+}
+
+} // namespace
+
 // --- Transaction schedulers -------------------------------------------
 
 void
-FifoTxnScheduler::enqueue(Transaction txn)
+FifoTxnScheduler::enqueue(TxnRef txn)
 {
+    checkSchedChip(txn.chip);
     queue_.push_back(std::move(txn));
 }
 
-std::optional<Transaction>
+std::optional<TxnRef>
 FifoTxnScheduler::pickNext()
 {
     if (queue_.empty())
         return std::nullopt;
-    Transaction txn = std::move(queue_.front());
+    const TxnRef txn = queue_.front();
     queue_.pop_front();
     return txn;
 }
 
 void
-RoundRobinTxnScheduler::enqueue(Transaction txn)
+RoundRobinTxnScheduler::enqueue(TxnRef txn)
 {
-    perChip_[txn.chip].push_back(std::move(txn));
-    ++pending_;
+    perChip_.push(txn.chip, std::move(txn));
 }
 
-std::optional<Transaction>
+std::optional<TxnRef>
 RoundRobinTxnScheduler::pickNext()
 {
-    if (pending_ == 0)
-        return std::nullopt;
-    // Walk chips starting after the last-served one.
-    for (std::uint32_t step = 0; step < 33; ++step) {
-        std::uint32_t chip = (cursor_ + 1 + step) % 33;
-        auto it = perChip_.find(chip);
-        if (it != perChip_.end() && !it->second.empty()) {
-            Transaction txn = std::move(it->second.front());
-            it->second.pop_front();
-            --pending_;
-            cursor_ = chip;
-            return txn;
-        }
-    }
-    panic("round-robin scheduler lost track of %zu pending transactions",
-          pending_);
+    return perChip_.pop();
 }
 
 void
-PriorityTxnScheduler::enqueue(Transaction txn)
+PriorityTxnScheduler::enqueue(TxnRef txn)
 {
+    checkSchedChip(txn.chip);
     byPriority_[txn.priority].push_back(std::move(txn));
     ++pending_;
 }
 
-std::optional<Transaction>
+std::optional<TxnRef>
 PriorityTxnScheduler::pickNext()
 {
     for (auto &[prio, queue] : byPriority_) {
         if (!queue.empty()) {
-            Transaction txn = std::move(queue.front());
+            const TxnRef txn = queue.front();
             queue.pop_front();
             --pending_;
             return txn;
@@ -76,15 +81,15 @@ PriorityTxnScheduler::pickNext()
 void
 FifoTaskScheduler::submit(FlashRequest req)
 {
+    checkSchedChip(req.chip);
     queue_.push_back(std::move(req));
 }
 
 std::optional<FlashRequest>
-FifoTaskScheduler::admitNext(
-    const std::function<bool(std::uint32_t)> &chip_free)
+FifoTaskScheduler::admitNext(ChipMask busy_chips)
 {
     for (std::size_t i = 0; i < queue_.size(); ++i) {
-        if (chip_free(queue_[i].chip)) {
+        if (!isBusy(busy_chips, queue_[i].chip)) {
             FlashRequest req = std::move(queue_[i]);
             queue_.erase(i);
             return req;
@@ -96,45 +101,29 @@ FifoTaskScheduler::admitNext(
 void
 FairTaskScheduler::submit(FlashRequest req)
 {
-    perChip_[req.chip].push_back(std::move(req));
-    ++pending_;
+    perChip_.push(req.chip, std::move(req));
 }
 
 std::optional<FlashRequest>
-FairTaskScheduler::admitNext(
-    const std::function<bool(std::uint32_t)> &chip_free)
+FairTaskScheduler::admitNext(ChipMask busy_chips)
 {
-    if (pending_ == 0)
-        return std::nullopt;
-    for (std::uint32_t step = 0; step < 33; ++step) {
-        std::uint32_t chip = (cursor_ + 1 + step) % 33;
-        auto it = perChip_.find(chip);
-        if (it != perChip_.end() && !it->second.empty() &&
-            chip_free(chip)) {
-            FlashRequest req = std::move(it->second.front());
-            it->second.pop_front();
-            --pending_;
-            cursor_ = chip;
-            return req;
-        }
-    }
-    return std::nullopt;
+    return perChip_.pop(~busy_chips);
 }
 
 void
 PriorityTaskScheduler::submit(FlashRequest req)
 {
+    checkSchedChip(req.chip);
     byPriority_[req.priority].push_back(std::move(req));
     ++pending_;
 }
 
 std::optional<FlashRequest>
-PriorityTaskScheduler::admitNext(
-    const std::function<bool(std::uint32_t)> &chip_free)
+PriorityTaskScheduler::admitNext(ChipMask busy_chips)
 {
     for (auto &[prio, queue] : byPriority_) {
         for (std::size_t i = 0; i < queue.size(); ++i) {
-            if (chip_free(queue[i].chip)) {
+            if (!isBusy(busy_chips, queue[i].chip)) {
                 FlashRequest req = std::move(queue[i]);
                 queue.erase(i);
                 --pending_;

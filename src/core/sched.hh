@@ -13,6 +13,8 @@
 #ifndef BABOL_CORE_SCHED_HH
 #define BABOL_CORE_SCHED_HH
 
+#include <array>
+#include <bit>
 #include <map>
 #include <memory>
 #include <optional>
@@ -24,7 +26,76 @@
 
 namespace babol::core {
 
-/** Orders transactions onto the channel. */
+/**
+ * Chip slots the schedulers track: a request or transaction names a chip
+ * (CE index) below this. The per-chip policies walk the slots as one
+ * cycle, resuming after the last-served chip, so the count also fixes
+ * where the walk wraps. It is one more than a 32-bit CE mask can select;
+ * keeping 33 keeps every recorded pick order.
+ */
+inline constexpr std::uint32_t kSchedChipSlots = 33;
+
+/** Bit @c c set: chip @c c is busy (the controllers' chip-busy mask). */
+using ChipMask = std::uint64_t;
+static_assert(kSchedChipSlots <= 64, "a ChipMask holds every chip slot");
+
+/** Panics unless @p chip is below kSchedChipSlots. */
+void checkSchedChip(std::uint32_t chip);
+
+/**
+ * One FIFO per chip slot plus a mask of the non-empty ones. pop() serves
+ * the first non-empty, allowed chip after the last-served one in the
+ * cyclic order 0..kSchedChipSlots-1: a shift and a count of trailing
+ * zeros instead of a walk over the slots.
+ */
+template <typename T>
+class ChipCycle
+{
+  public:
+    void
+    push(std::uint32_t chip, T &&value)
+    {
+        checkSchedChip(chip);
+        queues_[chip].push_back(std::move(value));
+        nonEmpty_ |= ChipMask{1} << chip;
+        ++size_;
+    }
+
+    /** Pop from the next chip in the cycle whose bit is set in
+     *  @p allowed; std::nullopt when no such chip has work. */
+    std::optional<T>
+    pop(ChipMask allowed = ~ChipMask{0})
+    {
+        const ChipMask ready = nonEmpty_ & allowed;
+        if (ready == 0)
+            return std::nullopt;
+        const std::uint32_t start = (cursor_ + 1) % kSchedChipSlots;
+        const ChipMask ahead = ready >> start;
+        const std::uint32_t chip = static_cast<std::uint32_t>(
+            ahead ? start + std::countr_zero(ahead) : std::countr_zero(ready));
+        RingQueue<T> &queue = queues_[chip];
+        T value = std::move(queue.front());
+        queue.pop_front();
+        if (queue.empty())
+            nonEmpty_ &= ~(ChipMask{1} << chip);
+        --size_;
+        cursor_ = chip;
+        return value;
+    }
+
+    std::size_t size() const { return size_; }
+
+  private:
+    std::array<RingQueue<T>, kSchedChipSlots> queues_;
+    ChipMask nonEmpty_ = 0;
+    std::uint32_t cursor_ = 0;
+    std::size_t size_ = 0;
+};
+
+/**
+ * Orders transactions onto the channel. A transaction stays in its
+ * TxnSlots slot; the scheduler queues and hands back TxnRefs.
+ */
 class TransactionScheduler
 {
   public:
@@ -32,11 +103,12 @@ class TransactionScheduler
 
     virtual const char *policyName() const = 0;
 
-    /** Accept a ready transaction. */
-    virtual void enqueue(Transaction txn) = 0;
+    /** Accept a ready transaction; panics on a chip past
+     *  kSchedChipSlots. */
+    virtual void enqueue(TxnRef txn) = 0;
 
     /** Pick the next transaction to hand to the execution unit. */
-    virtual std::optional<Transaction> pickNext() = 0;
+    virtual std::optional<TxnRef> pickNext() = 0;
 
     virtual std::size_t pendingCount() const = 0;
 };
@@ -46,12 +118,12 @@ class FifoTxnScheduler : public TransactionScheduler
 {
   public:
     const char *policyName() const override { return "fifo"; }
-    void enqueue(Transaction txn) override;
-    std::optional<Transaction> pickNext() override;
+    void enqueue(TxnRef txn) override;
+    std::optional<TxnRef> pickNext() override;
     std::size_t pendingCount() const override { return queue_.size(); }
 
   private:
-    RingQueue<Transaction> queue_;
+    RingQueue<TxnRef> queue_;
 };
 
 /** Round-robin across chips (the paper's simple example policy). */
@@ -59,14 +131,12 @@ class RoundRobinTxnScheduler : public TransactionScheduler
 {
   public:
     const char *policyName() const override { return "round-robin"; }
-    void enqueue(Transaction txn) override;
-    std::optional<Transaction> pickNext() override;
-    std::size_t pendingCount() const override { return pending_; }
+    void enqueue(TxnRef txn) override;
+    std::optional<TxnRef> pickNext() override;
+    std::size_t pendingCount() const override { return perChip_.size(); }
 
   private:
-    std::map<std::uint32_t, RingQueue<Transaction>> perChip_;
-    std::uint32_t cursor_ = 0;
-    std::size_t pending_ = 0;
+    ChipCycle<TxnRef> perChip_;
 };
 
 /** Highest priority first, FIFO within a priority. Data transfers can
@@ -75,12 +145,12 @@ class PriorityTxnScheduler : public TransactionScheduler
 {
   public:
     const char *policyName() const override { return "priority"; }
-    void enqueue(Transaction txn) override;
-    std::optional<Transaction> pickNext() override;
+    void enqueue(TxnRef txn) override;
+    std::optional<TxnRef> pickNext() override;
     std::size_t pendingCount() const override { return pending_; }
 
   private:
-    std::map<int, RingQueue<Transaction>, std::greater<int>> byPriority_;
+    std::map<int, RingQueue<TxnRef>, std::greater<int>> byPriority_;
     std::size_t pending_ = 0;
 };
 
@@ -92,15 +162,15 @@ class TaskScheduler
 
     virtual const char *policyName() const = 0;
 
-    /** Accept a request from the FTL. */
+    /** Accept a request from the FTL; panics on a chip past
+     *  kSchedChipSlots. */
     virtual void submit(FlashRequest req) = 0;
 
     /**
-     * Admit the next request whose target chip is free, according to
-     * @p chip_free. Returns std::nullopt when nothing is admissible.
+     * Admit the next request whose target chip is not set in
+     * @p busy_chips. Returns std::nullopt when nothing is admissible.
      */
-    virtual std::optional<FlashRequest>
-    admitNext(const std::function<bool(std::uint32_t)> &chip_free) = 0;
+    virtual std::optional<FlashRequest> admitNext(ChipMask busy_chips) = 0;
 
     virtual std::size_t pendingCount() const = 0;
 };
@@ -111,8 +181,7 @@ class FifoTaskScheduler : public TaskScheduler
   public:
     const char *policyName() const override { return "fifo"; }
     void submit(FlashRequest req) override;
-    std::optional<FlashRequest>
-    admitNext(const std::function<bool(std::uint32_t)> &chip_free) override;
+    std::optional<FlashRequest> admitNext(ChipMask busy_chips) override;
     std::size_t pendingCount() const override { return queue_.size(); }
 
   private:
@@ -125,14 +194,11 @@ class FairTaskScheduler : public TaskScheduler
   public:
     const char *policyName() const override { return "fair"; }
     void submit(FlashRequest req) override;
-    std::optional<FlashRequest>
-    admitNext(const std::function<bool(std::uint32_t)> &chip_free) override;
-    std::size_t pendingCount() const override { return pending_; }
+    std::optional<FlashRequest> admitNext(ChipMask busy_chips) override;
+    std::size_t pendingCount() const override { return perChip_.size(); }
 
   private:
-    std::map<std::uint32_t, RingQueue<FlashRequest>> perChip_;
-    std::uint32_t cursor_ = 0;
-    std::size_t pending_ = 0;
+    ChipCycle<FlashRequest> perChip_;
 };
 
 /** Highest priority first (e.g., latency-sensitive database logging). */
@@ -141,8 +207,7 @@ class PriorityTaskScheduler : public TaskScheduler
   public:
     const char *policyName() const override { return "priority"; }
     void submit(FlashRequest req) override;
-    std::optional<FlashRequest>
-    admitNext(const std::function<bool(std::uint32_t)> &chip_free) override;
+    std::optional<FlashRequest> admitNext(ChipMask busy_chips) override;
     std::size_t pendingCount() const override { return pending_; }
 
   private:

@@ -37,10 +37,11 @@ SoftRuntime::submitTransaction(Transaction &&txn)
     // side CPU lane so a ready page never waits behind polling work.
     cpu::CpuPriority prio = txn.priority > 0 ? cpu::CpuPriority::High
                                              : cpu::CpuPriority::Normal;
-    const auto slot = building_.park(std::move(txn));
+    // Stored once; from here on only its TxnRef moves.
+    const TxnRef ref = exec_.transactions().park(std::move(txn));
     cpu_.execute(costs_.buildTransaction + costs_.submitToHw,
-                 [this, slot] {
-        txnSched_->enqueue(building_.take(slot));
+                 [this, ref] {
+        txnSched_->enqueue(ref);
         kickPump();
     }, "txn build+submit", prio);
 }
@@ -63,10 +64,10 @@ SoftRuntime::kickPump()
         // pass itself (queue-walk amortization).
         std::uint32_t dispatched = 0;
         while (exec_.hasSpace()) {
-            auto txn = txnSched_->pickNext();
+            const std::optional<TxnRef> txn = txnSched_->pickNext();
             if (!txn)
                 break;
-            exec_.push(std::move(*txn));
+            exec_.push(*txn);
             ++dispatched;
         }
         if (dispatched > 1) {

@@ -4,9 +4,10 @@
  * software environments.
  *
  * Operations (coroutines or RTOS state machines) call
- * submitTransaction(); the runtime charges the CPU for building and
- * enqueueing, hands the transaction to the pluggable Transaction
- * Scheduler, and pumps picked transactions into the hardware FIFO —
+ * submitTransaction(); the runtime stores the transaction in the exec
+ * unit's slots, charges the CPU for building and enqueueing, hands its
+ * TxnRef to the pluggable Transaction Scheduler, and pumps picked
+ * references into the hardware FIFO —
  * one scheduler pass per dispatch, each costing CPU cycles. All of this
  * happens while LUNs or the channel are busy, which is why software
  * can keep up with the hardware (paper §III).
@@ -20,7 +21,6 @@
 #include "cpu/cpu_model.hh"
 #include "exec_unit.hh"
 #include "sched.hh"
-#include "sim/slot_pool.hh"
 #include "soft_costs.hh"
 
 namespace babol::core {
@@ -40,8 +40,9 @@ class SoftRuntime : public SimObject
     const TxnLabels &labels() const { return labels_; }
 
     /**
-     * Hand a built transaction to the scheduler (charging the CPU for
-     * the build + enqueue work) and make sure the dispatch pump runs.
+     * Store a built transaction in the exec unit's slots, hand its
+     * reference to the scheduler (charging the CPU for the build +
+     * enqueue work) and make sure the dispatch pump runs.
      */
     void submitTransaction(Transaction &&txn);
 
@@ -56,9 +57,6 @@ class SoftRuntime : public SimObject
     std::unique_ptr<TransactionScheduler> txnSched_;
     SoftwareCosts costs_;
     const TxnLabels labels_;
-    /** Transactions between submit and the end of their build+submit
-     *  CPU item (bounded by the ops in flight). */
-    SlotPool<Transaction> building_;
     bool pumpPending_ = false;
     std::uint64_t submitted_ = 0;
     std::uint64_t schedPasses_ = 0;

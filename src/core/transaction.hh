@@ -19,6 +19,7 @@
 #include "obs/span.hh"
 #include "sim/inline_callback.hh"
 #include "sim/inline_vec.hh"
+#include "sim/slot_pool.hh"
 
 namespace babol::core {
 
@@ -85,6 +86,45 @@ struct Transaction
         instructions.push_back(std::move(ins));
         return *this;
     }
+};
+
+/**
+ * A submitted transaction as the scheduler queues and the exec FIFO hold
+ * it: its slot's handle, plus copies of the two fields the scheduling
+ * policies read, so a pick never touches the slot.
+ */
+struct TxnRef
+{
+    SlotPool<Transaction>::Handle slot;
+    std::uint32_t chip = 0;
+    int priority = 0;
+};
+
+/**
+ * Where each transaction lives from submit until its segment completes.
+ * It is moved in once; the CPU item, the scheduler and the exec FIFO
+ * pass its TxnRef, and the exec unit builds the segment from the slot
+ * and frees it when the transaction completes (DESIGN.md §16).
+ */
+class TxnSlots
+{
+  public:
+    TxnRef
+    park(Transaction &&txn)
+    {
+        const std::uint32_t chip = txn.chip;
+        const int priority = txn.priority;
+        return {slots_.park(std::move(txn)), chip, priority};
+    }
+
+    Transaction &get(TxnRef ref) { return slots_.get(ref.slot); }
+    void release(TxnRef ref) { slots_.release(ref.slot); }
+
+    /** Transactions submitted and not yet completed. */
+    std::size_t live() const { return slots_.live(); }
+
+  private:
+    SlotPool<Transaction> slots_;
 };
 
 } // namespace babol::core

@@ -3,10 +3,11 @@
  * SlotPool: values parked across an asynchronous hop; InPlaceSlot:
  * one polymorphic object at a time, constructed in reused storage.
  *
- * A component that must hold a value until a later event (a transaction
- * waiting for the CPU, a segment's completion waiting for the bus)
- * parks it in a slot and lets the event capture only the slot's small
- * handle, so the event's callback stays on the kernel's inline path.
+ * A component that must hold a value until a later event (a submitted
+ * transaction until its segment completes, a segment's completion
+ * waiting for the bus) parks it in a slot and lets the events and
+ * queues carry only the slot's small handle, so an event's callback
+ * stays on the kernel's inline path and the value is moved once.
  * Freed slots are reused, so the pool grows to the most values ever
  * parked at once (bounded by in-flight work) and then stops
  * allocating. Handles carry the slot's generation, as the event
@@ -19,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -39,6 +41,17 @@ class SlotPool
         std::uint32_t gen = 0;
     };
 
+    SlotPool() = default;
+    SlotPool(const SlotPool &) = delete;
+    SlotPool &operator=(const SlotPool &) = delete;
+    ~SlotPool()
+    {
+        for (Slot &s : slots_)
+            if (s.live)
+                std::destroy_at(s.ptr());
+    }
+
+    /** Move @p value into a free slot (its one move into the pool). */
     Handle
     park(T &&value)
     {
@@ -51,36 +64,58 @@ class SlotPool
             free_.pop_back();
         }
         Slot &s = slots_[i];
-        s.value = std::move(value);
+        ::new (static_cast<void *>(s.bytes)) T(std::move(value));
         s.live = true;
         return {i, s.gen};
+    }
+
+    /** The value in @p h's slot. Slots never move, so the reference
+     *  stays valid until the slot is released. */
+    T &get(Handle h) { return *slot(h).ptr(); }
+
+    /** Destroy the value in @p h's slot and free the slot. */
+    void
+    release(Handle h)
+    {
+        Slot &s = slot(h);
+        std::destroy_at(s.ptr());
+        s.live = false;
+        ++s.gen;
+        free_.push_back(h.index);
     }
 
     /** Move the value out of @p h's slot and free the slot. */
     T
     take(Handle h)
     {
-        babol_assert(h.index < slots_.size() && slots_[h.index].live &&
-                         slots_[h.index].gen == h.gen,
-                     "stale slot-pool handle %u/%u", h.index, h.gen);
-        Slot &s = slots_[h.index];
-        T value = std::move(s.value);
-        s.value = T();
-        s.live = false;
-        ++s.gen;
-        free_.push_back(h.index);
+        T value = std::move(get(h));
+        release(h);
         return value;
     }
+
+    /** Values parked now. */
+    std::size_t live() const { return slots_.size() - free_.size(); }
 
   private:
     struct Slot
     {
-        T value{};
+        alignas(T) unsigned char bytes[sizeof(T)];
         std::uint32_t gen = 0;
         bool live = false;
+
+        T *ptr() { return std::launder(reinterpret_cast<T *>(bytes)); }
     };
 
-    std::vector<Slot> slots_;
+    Slot &
+    slot(Handle h)
+    {
+        babol_assert(h.index < slots_.size() && slots_[h.index].live &&
+                         slots_[h.index].gen == h.gen,
+                     "stale slot-pool handle %u/%u", h.index, h.gen);
+        return slots_[h.index];
+    }
+
+    std::deque<Slot> slots_; //!< a deque, so growing never moves a slot
     std::vector<std::uint32_t> free_;
 };
 

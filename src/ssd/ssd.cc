@@ -80,17 +80,37 @@ Ssd::submit(core::FlashRequest req)
 
     // Model the host<->channel interconnect: dispatch and completion
     // each pay the hop.
-    if (req.onComplete) {
-        auto cb = std::move(req.onComplete);
-        req.onComplete = [this, cb = std::move(cb)](core::OpResult r) {
-            scheduleIn(hop_, [cb, r] { cb(r); }, "ssd.complete");
-        };
-    }
-    scheduleIn(hop_,
-               [this, channel, req = std::move(req)]() mutable {
-                   controllers_[channel]->submit(std::move(req));
-               },
+    const InFlightPool::Handle h = inFlight_.park({std::move(req), {}, {}});
+    scheduleIn(hop_, [this, channel, h] { dispatch(channel, h); },
                "ssd.dispatch");
+}
+
+void
+Ssd::dispatch(std::uint32_t channel, InFlightPool::Handle h)
+{
+    InFlight &f = inFlight_.get(h);
+    core::FlashRequest req = std::move(f.req);
+    if (req.onComplete) {
+        f.onComplete = std::move(req.onComplete);
+        req.onComplete = [this, h](core::OpResult r) {
+            inFlight_.get(h).result = r;
+            scheduleIn(hop_, [this, h] { complete(h); }, "ssd.complete");
+        };
+    } else {
+        inFlight_.release(h);
+    }
+    controllers_[channel]->submit(std::move(req));
+}
+
+void
+Ssd::complete(InFlightPool::Handle h)
+{
+    InFlight &f = inFlight_.get(h);
+    const std::function<void(core::OpResult)> done =
+        std::move(f.onComplete);
+    const core::OpResult result = f.result;
+    inFlight_.release(h);
+    done(result);
 }
 
 std::uint64_t

@@ -11,10 +11,12 @@
 #ifndef BABOL_SSD_SSD_HH
 #define BABOL_SSD_SSD_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/controller.hh"
+#include "sim/slot_pool.hh"
 
 namespace babol::ssd {
 
@@ -90,6 +92,23 @@ class Ssd : public SimObject, public core::FlashBackend
     std::uint64_t payloadBytesWritten() const;
 
   private:
+    /**
+     * A request crossing the interconnect. It waits out the dispatch hop
+     * here; the submitter's callback, then the op's result, stay until
+     * the completion hop ends, so each hop's event captures only the
+     * slot's handle.
+     */
+    struct InFlight
+    {
+        core::FlashRequest req;
+        std::function<void(core::OpResult)> onComplete;
+        core::OpResult result;
+    };
+    using InFlightPool = SlotPool<InFlight>;
+
+    void dispatch(std::uint32_t channel, InFlightPool::Handle h);
+    void complete(InFlightPool::Handle h);
+
     SsdConfig cfg_;
 
     /** Host<->channel interconnect hop (ssd/lookahead.hh). */
@@ -97,6 +116,7 @@ class Ssd : public SimObject, public core::FlashBackend
     std::unique_ptr<dram::DramBuffer> dram_;
     std::vector<std::unique_ptr<core::ChannelSystem>> systems_;
     std::vector<std::unique_ptr<core::ChannelController>> controllers_;
+    InFlightPool inFlight_;
 };
 
 } // namespace babol::ssd

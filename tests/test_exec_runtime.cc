@@ -36,7 +36,8 @@ struct ExecRig
         return cfg;
     }
 
-    Transaction
+    /** A READ STATUS transaction parked in the exec unit's slots. */
+    TxnRef
     statusTxn(std::uint32_t chip, std::function<void(TxnResult)> done = {})
     {
         Transaction txn(chip, strfmt("READ_STATUS c%u", chip));
@@ -44,7 +45,7 @@ struct ExecRig
         txn.add(CaWriter::command(opcode::kReadStatus));
         txn.add(DataReader{.bytes = 1});
         txn.onComplete = std::move(done);
-        return txn;
+        return sys.exec().transactions().park(std::move(txn));
     }
 };
 
@@ -58,9 +59,12 @@ TEST(ExecUnit, ExecutesTransactionsInFifoOrder)
     rig.sys.exec().push(rig.statusTxn(1, [&](TxnResult) {
         order.push_back(1);
     }));
+    EXPECT_EQ(rig.sys.exec().transactions().live(), 2u);
     rig.eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
     EXPECT_EQ(rig.sys.exec().transactionsExecuted(), 2u);
+    // Each slot is freed when its transaction completes.
+    EXPECT_EQ(rig.sys.exec().transactions().live(), 0u);
 }
 
 TEST(ExecUnit, OverflowPanics)
