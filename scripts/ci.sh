@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build and run the test suite, plain and sanitized, with
-# the ONFI conformance audit and the performance guards.
+# the ONFI conformance audit, the determinism smokes and the exact-count
+# performance gate. No stage compares a wall-clock rate with a bound:
+# host speed is recorded history (BENCH_event_kernel.json, e2ebench/),
+# never pass/fail.
 #
 # The sanitized pass (ASan + UBSan via -DBABOL_SANITIZE=ON) exists
 # chiefly for the event kernel's pool / free-list / intrusive-list code,
@@ -28,11 +31,11 @@
 #                  flavour under BABOL_AUDIT=1, a byte-identical-rerun
 #                  determinism check, and a clean-shutdown remount
 #                  (same build requirement)
-#   --guard-only   bench-regression + tracing-overhead guards and the
-#                  determinism smokes: a fleet run must print the same
-#                  report at 1 and 4 threads, and the power summary and
-#                  multi-tenant SLO JSON must be byte-identical across
-#                  reruns (same build requirement)
+#   --determinism-only  a fleet run must print the same report at 1
+#                  and 4 threads, and the power summary and multi-tenant
+#                  SLO JSON must be byte-identical across reruns; the
+#                  event-kernel microbench must exit 0, i.e. its steady
+#                  state makes no allocation (same build requirement)
 #   --reliability-only  media-decay campaign: a die killed mid-workload
 #                  on every controller flavour under BABOL_AUDIT=1 with
 #                  RAIN + patrol scrub on, asserting zero acknowledged
@@ -57,7 +60,8 @@
 #
 # Usage: scripts/ci.sh
 #   [--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|
-#    --guard-only|--reliability-only|--e2e-smoke-only|--count-gate-only]
+#    --determinism-only|--reliability-only|--e2e-smoke-only|
+#    --count-gate-only]
 
 set -euo pipefail
 
@@ -273,63 +277,22 @@ stage_count_gate() {
             python3 scripts/count_gate.py ${base[@]+"${base[@]}"})
 }
 
-# Bench-regression guard: the event kernel's throughput must stay
-# within 15% of the committed baseline. One retry absorbs machine
-# noise; the comparison uses sed/awk only, no extra tooling.
-check_bench_regression() {
-    local baseline="$ROOT/BENCH_event_kernel.json"
-    local fresh="$ROOT/build/bench_guard.json"
-    "$ROOT/build/bench/micro_event_kernel" --quick --out "$fresh" \
-        >/dev/null
-    local want got
-    want="$(sed -n 's/.*"kernel_events_per_sec": \([0-9]*\).*/\1/p' \
-        "$baseline")"
-    got="$(sed -n 's/.*"kernel_events_per_sec": \([0-9]*\).*/\1/p' \
-        "$fresh")"
-    echo "    kernel events/s: baseline ${want}, this run ${got}"
-    awk -v w="$want" -v g="$got" \
-        'BEGIN { exit !(g >= w * 0.85 && g <= w * 1.15) }'
-}
-
-stage_guard() {
+# Determinism smokes: outputs that are pure functions of the model must
+# not depend on thread count or on the run. The event-kernel microbench
+# runs here for its exit status only (1 when its steady state allocates,
+# an exact count); the events/s it prints are not compared with anything.
+stage_determinism() {
     ensure_plain_build
-    echo "=== tier-1: bench-regression guard (±15%) ==="
-    if ! check_bench_regression; then
-        echo "    outside ±15%; retrying once to rule out noise"
-        check_bench_regression || {
-            echo "FAIL: event-kernel throughput drifted more than 15%" \
-                 "from BENCH_event_kernel.json"
-            exit 1
-        }
+    echo "=== tier-1: event-kernel steady state allocates nothing ==="
+    local rc=0
+    "$ROOT/build/bench/micro_event_kernel" --quick \
+        --out "$ROOT/build/micro_event_kernel.json" >/dev/null || rc=$?
+    if [[ "$rc" -ne 0 ]]; then
+        echo "FAIL: micro_event_kernel exited $rc" \
+             "(1: the kernel's steady state allocates)"
+        exit 1
     fi
-
-    # Disabled-overhead guard: with the obs hot path (or the scrubber's
-    # host-path bookkeeping) compiled in but switched off, the event
-    # kernel must stay within 3% of its plain throughput. One retry
-    # absorbs machine noise.
-    echo "=== tier-1: disabled-overhead guard (obs + scrub) ==="
-    check_overhead() {
-        "$ROOT/build/bench/micro_event_kernel" --quick \
-            --out "$ROOT/build/bench_obs_guard.json" >/dev/null
-        local pct spct
-        pct="$(sed -n \
-            's/.*"obs_disabled_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
-            "$ROOT/build/bench_obs_guard.json")"
-        spct="$(sed -n \
-            's/.*"scrub_disabled_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
-            "$ROOT/build/bench_obs_guard.json")"
-        echo "    obs-disabled overhead: ${pct}%," \
-             "scrub-disabled overhead: ${spct}%"
-        awk -v p="$pct" -v s="$spct" \
-            'BEGIN { exit !(p <= 3.0 && s <= 3.0) }'
-    }
-    if ! check_overhead; then
-        echo "    above 3%; retrying once to rule out noise"
-        check_overhead || {
-            echo "FAIL: disabled tracing/scrub costs more than 3% throughput"
-            exit 1
-        }
-    fi
+    echo "    allocation-free steady state (exit 0)"
 
     # Fleet determinism smoke: every member's report is a pure
     # function of its seed, so the fleet output must be identical at 1
@@ -381,7 +344,7 @@ case "$MODE" in
   --tsan-only)  stage_tsan ;;
   --audit-only) stage_audit ;;
   --crash-only) stage_crash ;;
-  --guard-only) stage_guard ;;
+  --determinism-only) stage_determinism ;;
   --reliability-only) stage_reliability ;;
   --e2e-smoke-only) stage_e2e_smoke ;;
   --count-gate-only) stage_count_gate ;;
@@ -392,13 +355,13 @@ case "$MODE" in
     stage_reliability
     stage_asan
     stage_tsan
-    stage_guard
+    stage_determinism
     stage_e2e_smoke
     stage_count_gate
     ;;
   *)
     echo "usage: scripts/ci.sh" \
-         "[--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|--guard-only|--reliability-only|--e2e-smoke-only|--count-gate-only]" \
+         "[--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|--determinism-only|--reliability-only|--e2e-smoke-only|--count-gate-only]" \
          >&2
     exit 2
     ;;

@@ -81,10 +81,7 @@ Options::applyStartup() const
 void
 Options::captureMetrics(const EventQueue &eq)
 {
-    MetricsRegistry &reg = eq.context().metrics;
-    MetricsGroup kernel(reg, "kernel");
-    registerEventQueueMetrics(kernel, eq);
-    snapshot_ = reg.snapshot();
+    snapshot_ = eq.context().metrics.snapshot();
     snapshot_->simTicks = eq.now();
 }
 

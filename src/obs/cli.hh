@@ -73,9 +73,11 @@ struct Options
     void applyStartup() const;
 
     /**
-     * Snapshot the metrics registry (with the kernel group of @p eq
-     * registered) while the run's objects are still alive — harnesses
-     * that build per-run simulations must call this before teardown.
+     * Snapshot the metrics registry of @p eq's context while the run's
+     * objects are still alive — harnesses that build per-run
+     * simulations must call this before teardown. Only simulated
+     * metrics land there; the event kernel's own host-side counters
+     * stay in EventQueue::poolStats().
      */
     void captureMetrics(const EventQueue &eq);
 

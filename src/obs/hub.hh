@@ -32,10 +32,6 @@
 #include "recorder.hh"
 #include "span.hh"
 
-namespace babol {
-class EventQueue;
-} // namespace babol
-
 namespace babol::obs {
 
 /** Member index is packed into the top bits of every minted SpanId. */
@@ -86,14 +82,6 @@ struct Hub
         SpanId prev_;
     };
 };
-
-/**
- * Register the event kernel's pool/scheduler gauges under
- * "<prefix>.pool_live", "<prefix>.wheel_inserts", ... The obs layer
- * depends on sim (never the reverse), so the bridge lives here.
- */
-MetricsGroup &registerEventQueueMetrics(MetricsGroup &group,
-                                        const EventQueue &eq);
 
 } // namespace babol::obs
 

@@ -150,13 +150,10 @@ EventQueue::peekLive()
     }
 }
 
-bool
-EventQueue::step()
+void
+EventQueue::fire(const Entry &head)
 {
-    const Entry *top = peekLive();
-    if (!top)
-        return false;
-    const Entry e = *top;
+    const Entry e = head; // head lives in ready_, which the pop reorders
     popReadyTop();
 
     Record &rec = record(e.idx);
@@ -171,6 +168,15 @@ EventQueue::step()
     // The pool only grows during the callback (chunks are stable and the
     // firing record is not on the free list), so rec is still valid here.
     releaseRecord(e.idx);
+}
+
+bool
+EventQueue::step()
+{
+    const Entry *top = peekLive();
+    if (!top)
+        return false;
+    fire(*top);
     return true;
 }
 
@@ -178,17 +184,14 @@ std::uint64_t
 EventQueue::run(Tick limit)
 {
     std::uint64_t fired = 0;
-    for (;;) {
-        const Entry *top = peekLive();
-        if (!top)
-            break;
+    while (const Entry *top = peekLive()) {
         if (top->when > limit) {
             // Advance time to the window edge so that callers composing
             // bounded runs observe a consistent clock.
             now_ = limit;
             break;
         }
-        step();
+        fire(*top);
         ++fired;
     }
     return fired;

@@ -307,6 +307,8 @@ class EventQueue
     bool primeReady();
     std::int64_t scanWheelRange(std::uint32_t from, std::uint32_t to) const;
     const Entry *peekLive();
+    /** Pop @p head (the live top of the ready heap) and run it. */
+    void fire(const Entry &head);
     void popReadyTop();
     void maybeCompact();
     void compact();

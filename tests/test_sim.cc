@@ -327,6 +327,66 @@ TEST(EventQueue, FireHookSeesEveryFiring)
     EXPECT_EQ(firings[1].second, 0u);
 }
 
+TEST(EventQueue, RunMatchesStepLoop)
+{
+    // run(limit) must fire exactly what a step() loop stopped at the
+    // same limit fires, in the same order, and leave the same clock.
+    constexpr Tick kLimit = 500000;
+    using Log = std::vector<std::pair<Tick, std::uint64_t>>;
+    auto load = [](EventQueue &eq, Log &log,
+                   std::vector<EventHandle> &handles) {
+        eq.setFireHook([&log](Tick t, std::uint64_t seq) {
+            log.emplace_back(t, seq);
+        });
+        // The earliest event is cancelled, so the first head to look at
+        // is dead; another cancelled one sits just past the limit.
+        eq.schedule(10, [] {}).cancel();
+        eq.schedule(kLimit + 1, [] {}).cancel();
+        eq.schedule(kLimit, [] {});
+        Rng rng(77);
+        for (int i = 0; i < 400; ++i) {
+            Tick when = rng.uniform(0, 2 * kLimit);
+            if (rng.chance(0.25))
+                when += ticks::fromUs(100); // beyond the wheel horizon
+            handles.push_back(eq.schedule(when, [&eq, &handles, i] {
+                // Churn: reschedule near and far, cancel a neighbour.
+                eq.scheduleIn(static_cast<Tick>(i % 7) * 4096, [] {});
+                if (i % 3 == 0)
+                    handles[static_cast<std::size_t>(i + 1) %
+                            handles.size()]
+                        .cancel();
+            }));
+        }
+    };
+
+    EventQueue ranQ;
+    Log ran;
+    std::vector<EventHandle> ranHandles;
+    load(ranQ, ran, ranHandles);
+    const std::uint64_t fired = ranQ.run(kLimit);
+    const Tick ranNow = ranQ.now();
+
+    EventQueue steppedQ;
+    Log stepped;
+    std::vector<EventHandle> steppedHandles;
+    load(steppedQ, stepped, steppedHandles);
+    Tick steppedNow = steppedQ.now();
+    while (steppedQ.step()) {
+        if (stepped.back().first > kLimit) {
+            stepped.pop_back(); // the first event run(limit) leaves
+            break;
+        }
+        steppedNow = steppedQ.now();
+    }
+
+    ASSERT_FALSE(ran.empty());
+    EXPECT_EQ(fired, ran.size());
+    EXPECT_EQ(ran, stepped);
+    EXPECT_EQ(ran.back().first, kLimit);
+    EXPECT_EQ(ranNow, kLimit);
+    EXPECT_EQ(ranNow, steppedNow);
+}
+
 TEST(Stats, CounterBasics)
 {
     Counter c("ops");
